@@ -19,8 +19,8 @@ from .model import (
     Delta,
     Numeric,
     Orientation,
+    RatioTable,
     Tolerance,
-    check_index,
     ratio_table,
 )
 
@@ -39,8 +39,10 @@ def theta(d: Dataset, delta: Delta, o: int) -> Score:
 
     Always in (0, 1]; the unit itself guarantees feasibility.
     """
-    check_index(d, o)
-    rt = ratio_table(d, o)
+    return _theta(ratio_table(d, o), delta)
+
+
+def _theta(rt: RatioTable, delta: Delta) -> Score:
     best: Score | None = None
     for j, (a, b) in enumerate(zip(rt.alpha, rt.beta)):
         if delta is Delta.VRS:
@@ -70,8 +72,10 @@ def phi(d: Dataset, delta: Delta, o: int) -> Score:
 
     Always finite and >= 1.
     """
-    check_index(d, o)
-    rt = ratio_table(d, o)
+    return _phi(ratio_table(d, o), delta)
+
+
+def _phi(rt: RatioTable, delta: Delta) -> Score:
     best: Score | None = None
     for j, (a, b) in enumerate(zip(rt.alpha, rt.beta)):
         if delta is Delta.VRS:
@@ -113,10 +117,14 @@ class EfficiencyScores:
 
 
 def compute_scores(d: Dataset, o: int) -> EfficiencyScores:
+    return _scores(ratio_table(d, o))
+
+
+def _scores(rt: RatioTable) -> EfficiencyScores:
     return EfficiencyScores(
-        reference=o,
-        theta={reg: theta(d, reg, o) for reg in Delta},
-        phi={reg: phi(d, reg, o) for reg in Delta},
+        reference=rt.reference,
+        theta={reg: _theta(rt, reg) for reg in Delta},
+        phi={reg: _phi(rt, reg) for reg in Delta},
     )
 
 
@@ -125,4 +133,8 @@ def is_mpss(d: Dataset, o: int, tol: Tolerance = Tolerance()) -> bool:
 
     True when the constant-returns contraction score is 1 within ``tol``.
     """
-    return abs(theta(d, Delta.CRS, o).value - 1) <= tol.eps
+    return _at_mpss(theta(d, Delta.CRS, o), tol)
+
+
+def _at_mpss(theta_crs: Score, tol: Tolerance) -> bool:
+    return abs(theta_crs.value - 1) <= tol.eps

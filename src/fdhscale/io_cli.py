@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Any, Sequence, Union
 
 from ._version import __version__
-from .efficiency import compute_scores, is_mpss, radial, theta as theta_score, phi as phi_score
+from .efficiency import radial
 from .errors import (
     AnalysisError,
     EmptyDatasetError,
@@ -32,11 +32,10 @@ from .errors import (
     UnclassifiableError,
 )
 from .model import Dataset, Delta, Numeric, Orientation, Tolerance, validate_dataset
-from .oracle import OracleConfig, verify_dataset, verify_random
+from .oracle import OracleConfig, merge_checks, verify_dataset, verify_random
 from .response import build_response
-from .rts import InefficientUnit, RtsReport, classify_all
+from .rts import InefficientUnit, RtsReport, classify_all, classify_unit
 from .scale import UNBOUNDED, scale_ratios
-from .technology import find_dominating
 
 
 def read_csv(source: Union[str, Path], exact: bool = False) -> Dataset:
@@ -161,96 +160,67 @@ def _header(d: Dataset, tol: Tolerance, projected: bool = False) -> dict:
     }
 
 
-def _score_maps(d: Dataset, scores) -> tuple[dict, dict, dict, dict]:
-    tvals = {reg.value: _num(scores.theta[reg].value) for reg in Delta}
-    pvals = {reg.value: _num(scores.phi[reg].value) for reg in Delta}
-    twit = {reg.value: d.names[scores.theta[reg].witness] for reg in Delta}
-    pwit = {reg.value: d.names[scores.phi[reg].witness] for reg in Delta}
-    return tvals, pvals, twit, pwit
+def _project(d: Dataset, unit: InefficientUnit) -> Dataset:
+    """Copy of ``d`` with the dominated unit's outputs expanded onto the frontier.
+
+    The expansion factor is the unit's variable-returns output score. The
+    caller analyses the copy afresh, from its own ratio table.
+    """
+    o = unit.reference
+    grow = unit.scores.phi[Delta.VRS].value
+    outputs = tuple(
+        tuple(grow * v for v in row) if k == o else row
+        for k, row in enumerate(d.outputs)
+    )
+    return Dataset(d.names, d.inputs, outputs)
 
 
 def _classified_units(d: Dataset, tol: Tolerance, project: bool):
-    """Per unit: (dataset used, report-or-marker, projected flag)."""
+    """Per unit: (report-or-marker, projected flag).
+
+    With ``project`` a dominated unit is analysed again after projection;
+    when it is still dominated (input slack) its original marker stays.
+    """
     out = []
-    for o in range(d.n):
-        if find_dominating(d, Delta.VRS, o) is None:
-            item = classify_all_one(d, o, tol)
-            out.append((d, item, False))
-            continue
-        if project:
-            grow = phi_score(d, Delta.VRS, o).value
-            projected_outputs = tuple(
-                tuple(grow * v for v in row) if k == o else row
-                for k, row in enumerate(d.outputs)
-            )
-            d_proj = Dataset(d.names, d.inputs, projected_outputs)
-            if find_dominating(d_proj, Delta.VRS, o) is None:
-                out.append((d_proj, classify_all_one(d_proj, o, tol), True))
-                continue
-            w = find_dominating(d, Delta.VRS, o)
-            out.append(
-                (d, InefficientUnit(o, theta_score(d, Delta.VRS, o).value, w), True)
-            )
-            continue
-        w = find_dominating(d, Delta.VRS, o)
-        out.append(
-            (d, InefficientUnit(o, theta_score(d, Delta.VRS, o).value, w), False)
-        )
+    for item in classify_all(d, tol):
+        if project and isinstance(item, InefficientUnit):
+            again = classify_unit(_project(d, item), item.reference, tol)
+            out.append((again if isinstance(again, RtsReport) else item, True))
+        else:
+            out.append((item, False))
     return out
 
 
-def classify_all_one(d: Dataset, o: int, tol: Tolerance) -> RtsReport:
-    from .rts import OneSidedRts, grs as grs_fn, left_rts, right_rts
-
-    return RtsReport(
-        reference=o,
-        one_sided=OneSidedRts(right_rts(d, o, tol), left_rts(d, o, tol)),
-        grs=grs_fn(d, o, tol),
-        sigma=scale_ratios(d, o, tol),
-        mpss=is_mpss(d, o, tol),
-        scores=compute_scores(d, o),
-    )
-
-
 def _report_record(
-    d: Dataset, item, projected: bool, include_flag: bool
+    d: Dataset, item, projected: bool, include_flag: bool, full_scores: bool
 ) -> dict:
-    o = item.reference
-    rec: dict[str, Any] = {"name": d.names[o]}
-    rec["efficient"] = isinstance(item, RtsReport)
+    """One unit's record: every score with ``full_scores``, else theta_vrs only."""
+    efficient = isinstance(item, RtsReport)
+    rec: dict[str, Any] = {"name": d.names[item.reference], "efficient": efficient}
     if include_flag:
         rec["projected"] = projected
-    scores = item.scores if isinstance(item, RtsReport) else compute_scores(d, o)
-    tvals, pvals, twit, pwit = _score_maps(d, scores)
-    rec["theta"] = tvals
-    rec["phi"] = pvals
-    rec["mpss"] = is_mpss(d, o) if not isinstance(item, RtsReport) else item.mpss
-    if isinstance(item, RtsReport):
+    witnesses: dict[str, Any] = {}
+    if full_scores:
+        for key, scores in (("theta", item.scores.theta), ("phi", item.scores.phi)):
+            rec[key] = {reg.value: _num(scores[reg].value) for reg in Delta}
+            witnesses[key] = {reg.value: d.names[scores[reg].witness] for reg in Delta}
+    else:
+        rec["theta_vrs"] = _num(item.scores.theta[Delta.VRS].value)
+    rec["mpss"] = item.mpss
+    if efficient:
         rec["grs"] = item.grs.value
         rec["right_rts"] = item.one_sided.right.value
         rec["left_rts"] = item.one_sided.left.value
         rec["sigma_plus"] = _num(item.sigma.sigma_plus)
         rec["sigma_minus"] = _num(item.sigma.sigma_minus)
-        rec["witnesses"] = {
-            "theta": twit,
-            "phi": pwit,
-            "sigma_plus": _name_or_none(d, item.sigma.plus_witness),
-            "sigma_minus": _name_or_none(d, item.sigma.minus_witness),
-            "dominating": None,
-        }
+        witnesses["sigma_plus"] = _name_or_none(d, item.sigma.plus_witness)
+        witnesses["sigma_minus"] = _name_or_none(d, item.sigma.minus_witness)
     else:
-        rec["grs"] = None
-        rec["right_rts"] = None
-        rec["left_rts"] = None
-        rec["sigma_plus"] = None
-        rec["sigma_minus"] = None
-        rec["witnesses"] = {
-            "theta": twit,
-            "phi": pwit,
-            "sigma_plus": None,
-            "sigma_minus": None,
-            "dominating": d.names[item.witness],
-        }
+        for key in ("grs", "right_rts", "left_rts", "sigma_plus", "sigma_minus"):
+            rec[key] = None
+        witnesses.update(sigma_plus=None, sigma_minus=None)
+    witnesses["dominating"] = None if efficient else d.names[item.witness]
+    rec["witnesses"] = witnesses
     return rec
 
 
@@ -258,59 +228,26 @@ def _name_or_none(d: Dataset, j: Union[int, None]) -> Union[str, None]:
     return None if j is None else d.names[j]
 
 
-def build_report_document(
-    d: Dataset, tol: Tolerance = Tolerance(), project: bool = False
+def _units_document(
+    d: Dataset, tol: Tolerance, project: bool, full_scores: bool
 ) -> dict:
     units = [
-        _report_record(dd, item, flag, project)
-        for dd, item, flag in _classified_units(d, tol, project)
+        _report_record(d, item, flag, project, full_scores)
+        for item, flag in _classified_units(d, tol, project)
     ]
     return {"header": _header(d, tol, project), "units": units}
 
 
-def _classify_record(d: Dataset, item, projected: bool, include_flag: bool) -> dict:
-    o = item.reference
-    rec: dict[str, Any] = {"name": d.names[o]}
-    rec["efficient"] = isinstance(item, RtsReport)
-    if include_flag:
-        rec["projected"] = projected
-    if isinstance(item, RtsReport):
-        rec["theta_vrs"] = _num(item.scores.theta[Delta.VRS].value)
-        rec["mpss"] = item.mpss
-        rec["grs"] = item.grs.value
-        rec["right_rts"] = item.one_sided.right.value
-        rec["left_rts"] = item.one_sided.left.value
-        rec["sigma_plus"] = _num(item.sigma.sigma_plus)
-        rec["sigma_minus"] = _num(item.sigma.sigma_minus)
-        rec["witnesses"] = {
-            "sigma_plus": _name_or_none(d, item.sigma.plus_witness),
-            "sigma_minus": _name_or_none(d, item.sigma.minus_witness),
-            "dominating": None,
-        }
-    else:
-        rec["theta_vrs"] = _num(item.theta_vrs)
-        rec["mpss"] = is_mpss(d, o)
-        rec["grs"] = None
-        rec["right_rts"] = None
-        rec["left_rts"] = None
-        rec["sigma_plus"] = None
-        rec["sigma_minus"] = None
-        rec["witnesses"] = {
-            "sigma_plus": None,
-            "sigma_minus": None,
-            "dominating": d.names[item.witness],
-        }
-    return rec
+def build_report_document(
+    d: Dataset, tol: Tolerance = Tolerance(), project: bool = False
+) -> dict:
+    return _units_document(d, tol, project, full_scores=True)
 
 
 def build_classification_document(
     d: Dataset, tol: Tolerance = Tolerance(), project: bool = False
 ) -> dict:
-    units = [
-        _classify_record(dd, item, flag, project)
-        for dd, item, flag in _classified_units(d, tol, project)
-    ]
-    return {"header": _header(d, tol, project), "units": units}
+    return _units_document(d, tol, project, full_scores=False)
 
 
 def build_efficiency_document(
@@ -340,13 +277,10 @@ def build_ratios_document(
 ) -> dict:
     o = d.index_of(name)
     used, projected = d, False
-    if project and find_dominating(d, Delta.VRS, o) is not None:
-        grow = phi_score(d, Delta.VRS, o).value
-        outputs = tuple(
-            tuple(grow * v for v in row) if k == o else row
-            for k, row in enumerate(d.outputs)
-        )
-        used, projected = Dataset(d.names, d.inputs, outputs), True
+    if project:
+        item = classify_unit(d, o, tol)
+        if isinstance(item, InefficientUnit):
+            used, projected = _project(d, item), True
     ratios = scale_ratios(used, o, tol)
     return {
         "header": _header(d, tol, projected),
@@ -401,6 +335,9 @@ def _build_parser() -> _Parser:
         p.add_argument("--input", required=input_required, help="dataset CSV path")
         p.add_argument("--eps", type=float, default=1e-9, help="classification tolerance")
         p.add_argument("--out", default=None, help="output path (default stdout)")
+
+    def projectable(p: argparse.ArgumentParser) -> None:
+        common(p)
         p.add_argument(
             "--project",
             action="store_true",
@@ -423,11 +360,11 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_efficiency)
 
     p = sub.add_parser("classify", help="returns-to-scale classes for every unit")
-    common(p)
+    projectable(p)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("ratios", help="scale ratios of one unit")
-    common(p)
+    projectable(p)
     p.add_argument("--dmu", required=True, help="unit name")
     p.set_defaults(func=_cmd_ratios)
 
@@ -439,7 +376,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_response)
 
     p = sub.add_parser("report", help="full classification report")
-    common(p)
+    projectable(p)
     p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("verify", help="cross-check fast paths against the sweeps")
@@ -503,21 +440,13 @@ def _cmd_response(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     tol = Tolerance(args.eps)
-    cfg = OracleConfig(grid_steps=args.grid_steps, seed=args.seed)
-    results = []
+    cfg = OracleConfig(grid_steps=args.grid_steps)
+    batches = []
     if args.input:
-        results.extend(verify_dataset(read_csv(args.input, exact=True), tol, cfg))
+        batches.append(verify_dataset(read_csv(args.input, exact=True), tol, cfg))
     if args.trials > 0:
-        batch = verify_random(args.trials, args.seed, tol, cfg)
-        if results:
-            merged = {res.name: res for res in results}
-            for res in batch:
-                merged[res.name] = (
-                    merged[res.name].merge(res) if res.name in merged else res
-                )
-            results = list(merged.values())
-        else:
-            results = batch
+        batches.append(verify_random(args.trials, args.seed, tol, cfg))
+    results = merge_checks(batches)
     if not results:
         print("error: nothing to verify; give --input or --trials > 0", file=sys.stderr)
         return 1

@@ -19,6 +19,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import Iterable
 
 from .errors import InefficientUnitError, OutOfDomainError
 from .model import Dataset, Delta, Numeric, Tolerance, check_index, validate_dataset
@@ -31,15 +32,11 @@ class OracleConfig:
     """Knobs for the sweep-based checks.
 
     ``alpha_max`` caps sweep domains (default 10x the largest input ratio
-    of the reference); ``grid_steps`` points are spread across each sweep;
-    ``exact`` converts data to rationals (disable only to probe the float
-    behaviour of the sweeps themselves).
+    of the reference); ``grid_steps`` points are spread across each sweep.
     """
 
     grid_steps: int = 10_000
     alpha_max: Numeric | None = None
-    seed: int = 0
-    exact: bool = True
 
     def __post_init__(self) -> None:
         if self.grid_steps < 100:
@@ -60,10 +57,9 @@ class ScalingSystem(Enum):
     LEFT_STRICT = "left-strict"
 
 
-def _rows(d: Dataset, exact: bool = True) -> tuple[list, list]:
-    conv = Fraction if exact else float
-    xs = [[conv(v) for v in row] for row in d.inputs]
-    ys = [[conv(v) for v in row] for row in d.outputs]
+def _rows(d: Dataset) -> tuple[list, list]:
+    xs = [[Fraction(v) for v in row] for row in d.inputs]
+    ys = [[Fraction(v) for v in row] for row in d.outputs]
     return xs, ys
 
 
@@ -256,6 +252,16 @@ class CheckResult:
         if not other.passed:
             return other
         return CheckResult(self.name, True, other.detail)
+
+
+def merge_checks(batches: Iterable[Iterable[CheckResult]]) -> list[CheckResult]:
+    """Merge results by check name, in first-seen order; a failure wins."""
+    merged: dict[str, CheckResult] = {}
+    for batch in batches:
+        for res in batch:
+            prior = merged.get(res.name)
+            merged[res.name] = res if prior is None else prior.merge(res)
+    return list(merged.values())
 
 
 def verify_dataset(
@@ -469,21 +475,17 @@ def verify_random(
     cfg: OracleConfig = OracleConfig(),
 ) -> list[CheckResult]:
     """Run :func:`verify_dataset` over ``trials`` random datasets and merge."""
-    merged: dict[str, CheckResult] = {}
-    for t in range(trials):
+
+    def trial(t: int) -> Dataset:
         rng = random.Random(f"trial:{seed}:{t}")
-        ds = random_dataset(
+        return random_dataset(
             seed * 100_003 + t,
             rng.randint(1, 8),
             rng.randint(1, 3),
             rng.randint(1, 3),
         )
-        for res in verify_dataset(ds, tol, cfg):
-            if res.name in merged:
-                merged[res.name] = merged[res.name].merge(res)
-            else:
-                merged[res.name] = res
-    out = list(merged.values())
+
+    out = merge_checks(verify_dataset(trial(t), tol, cfg) for t in range(trials))
     for res in out:
         if res.passed:
             res.detail = f"{trials} datasets, last: {res.detail}"

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Union
+from typing import Mapping, Union
 
-from .efficiency import EfficiencyScores, compute_scores, is_mpss, theta
+from .efficiency import EfficiencyScores, Score, _at_mpss, _scores, _theta
 from .errors import UnclassifiableError
-from .model import Dataset, Delta, Numeric, Tolerance, ratio_table
-from .scale import UNBOUNDED, ScaleRatios, scale_ratios
-from .technology import find_dominating
+from .model import Dataset, Delta, Numeric, RatioTable, Tolerance, ratio_table
+from .scale import UNBOUNDED, ScaleRatios, _scale_ratios
+from .technology import dominating_peer, efficient_table
 
 
 class RightRts(Enum):
@@ -52,15 +52,7 @@ class OneSidedRts:
     left: LeftRts
 
 
-def _gate(d: Dataset, o: int) -> None:
-    from .errors import InefficientUnitError
-
-    w = find_dominating(d, Delta.VRS, o)
-    if w is not None:
-        raise InefficientUnitError(
-            f"unit {d.names[o]!r} is dominated by {d.names[w]!r}; "
-            "returns-to-scale classes are defined for efficient units"
-        )
+_SUBJECT = "returns-to-scale classes"
 
 
 def right_rts(d: Dataset, o: int, tol: Tolerance = Tolerance()) -> RightRts:
@@ -69,8 +61,10 @@ def right_rts(d: Dataset, o: int, tol: Tolerance = Tolerance()) -> RightRts:
     Increasing when some peer expands outputs faster than inputs, strictly;
     decreasing when no peer expands outputs at least as fast as inputs.
     """
-    _gate(d, o)
-    rt = ratio_table(d, o)
+    return _right_rts(efficient_table(d, o, _SUBJECT), tol)
+
+
+def _right_rts(rt: RatioTable, tol: Tolerance) -> RightRts:
     eps = tol.eps
     strict = weak = False
     for a, b in zip(rt.alpha, rt.beta):
@@ -93,8 +87,10 @@ def left_rts(d: Dataset, o: int, tol: Tolerance = Tolerance()) -> LeftRts:
     strictly; increasing when every smaller peer loses outputs faster than
     inputs.
     """
-    _gate(d, o)
-    rt = ratio_table(d, o)
+    return _left_rts(efficient_table(d, o, _SUBJECT), tol)
+
+
+def _left_rts(rt: RatioTable, tol: Tolerance) -> LeftRts:
     eps = tol.eps
     strict = weak = False
     for a, b in zip(rt.alpha, rt.beta):
@@ -122,10 +118,15 @@ def grs(d: Dataset, o: int, tol: Tolerance = Tolerance()) -> GrsClass:
         UnclassifiableError: scores match no pattern; cannot happen with
             exact arithmetic, and signals numerical trouble with floats.
     """
-    _gate(d, o)
-    tc = theta(d, Delta.CRS, o).value
-    tni = theta(d, Delta.NIRS, o).value
-    tnd = theta(d, Delta.NDRS, o).value
+    rt = efficient_table(d, o, _SUBJECT)
+    regimes = (Delta.CRS, Delta.NIRS, Delta.NDRS)
+    return _grs({reg: _theta(rt, reg) for reg in regimes}, tol)
+
+
+def _grs(theta: Mapping[Delta, Score], tol: Tolerance) -> GrsClass:
+    tc = theta[Delta.CRS].value
+    tni = theta[Delta.NIRS].value
+    tnd = theta[Delta.NDRS].value
     eps = tol.eps
     eq_ni = _close(tc, tni, eps)
     eq_nd = _close(tc, tnd, eps)
@@ -154,38 +155,46 @@ class RtsReport:
 
 @dataclass(frozen=True)
 class InefficientUnit:
-    """Marker for a dominated unit: its contraction score and dominator."""
+    """Marker for a dominated unit: its scores and a dominating unit."""
 
     reference: int
     theta_vrs: Numeric
     witness: int
+    scores: EfficiencyScores
+    mpss: bool
+
+
+def classify_unit(
+    d: Dataset, o: int, tol: Tolerance = Tolerance()
+) -> Union[RtsReport, InefficientUnit]:
+    """Every quantity of unit ``o`` from one ratio table.
+
+    Scores and the scale-size flag are computed for every unit. An
+    efficient unit also gets its scale ratios and its one-sided and global
+    classes; a dominated unit gets a marker naming the lowest-index unit
+    that dominates it.
+    """
+    rt = ratio_table(d, o)
+    scores = _scores(rt)
+    mpss = _at_mpss(scores.theta[Delta.CRS], tol)
+    w = dominating_peer(d, rt)
+    if w is not None:
+        return InefficientUnit(o, scores.theta[Delta.VRS].value, w, scores, mpss)
+    return RtsReport(
+        reference=o,
+        one_sided=OneSidedRts(_right_rts(rt, tol), _left_rts(rt, tol)),
+        grs=_grs(scores.theta, tol),
+        sigma=_scale_ratios(rt, tol),
+        mpss=mpss,
+        scores=scores,
+    )
 
 
 def classify_all(
     d: Dataset, tol: Tolerance = Tolerance()
 ) -> list[Union[RtsReport, InefficientUnit]]:
-    """Classify every unit, in dataset order.
-
-    Efficient units get a full report; dominated units get a marker with
-    their variable-returns contraction score and the dominating unit.
-    """
-    out: list[Union[RtsReport, InefficientUnit]] = []
-    for o in range(d.n):
-        w = find_dominating(d, Delta.VRS, o)
-        if w is not None:
-            out.append(InefficientUnit(o, theta(d, Delta.VRS, o).value, w))
-            continue
-        out.append(
-            RtsReport(
-                reference=o,
-                one_sided=OneSidedRts(right_rts(d, o, tol), left_rts(d, o, tol)),
-                grs=grs(d, o, tol),
-                sigma=scale_ratios(d, o, tol),
-                mpss=is_mpss(d, o, tol),
-                scores=compute_scores(d, o),
-            )
-        )
-    return out
+    """Classify every unit, in dataset order, with :func:`classify_unit`."""
+    return [classify_unit(d, o, tol) for o in range(d.n)]
 
 
 def check_consistency(report: RtsReport, tol: Tolerance = Tolerance()) -> list[str]:

@@ -15,9 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
-from .errors import InefficientUnitError
-from .model import Dataset, Delta, Numeric, Tolerance, ratio_table
-from .technology import find_dominating
+from .model import Dataset, Numeric, RatioTable, Tolerance
+from .technology import efficient_table
 
 
 class UnboundedRatio:
@@ -67,13 +66,7 @@ class SigmaResult(NamedTuple):
     witness: int | None
 
 
-def _require_efficient(d: Dataset, o: int) -> None:
-    w = find_dominating(d, Delta.VRS, o)
-    if w is not None:
-        raise InefficientUnitError(
-            f"unit {d.names[o]!r} is dominated by {d.names[w]!r}; "
-            "scale ratios are defined for efficient units"
-        )
+_SUBJECT = "scale ratios"
 
 
 def sigma_plus(d: Dataset, o: int, tol: Tolerance = Tolerance()) -> SigmaResult:
@@ -83,8 +76,10 @@ def sigma_plus(d: Dataset, o: int, tol: Tolerance = Tolerance()) -> SigmaResult:
     such peer, or none improving on staying put, the value is 0 and the
     witness is ``None``.
     """
-    _require_efficient(d, o)
-    rt = ratio_table(d, o)
+    return _sigma_plus(efficient_table(d, o, _SUBJECT), tol)
+
+
+def _sigma_plus(rt: RatioTable, tol: Tolerance) -> SigmaResult:
     best: Numeric | None = None
     witness: int | None = None
     for j, (a, b) in enumerate(zip(rt.alpha, rt.beta)):
@@ -104,8 +99,10 @@ def sigma_minus(d: Dataset, o: int, tol: Tolerance = Tolerance()) -> SigmaResult
     such peer the reference is the smallest scale in sight and the value
     is the symbolic :data:`UNBOUNDED`.
     """
-    _require_efficient(d, o)
-    rt = ratio_table(d, o)
+    return _sigma_minus(efficient_table(d, o, _SUBJECT), tol)
+
+
+def _sigma_minus(rt: RatioTable, tol: Tolerance) -> SigmaResult:
     best: Numeric | None = None
     witness: int | None = None
     for j, (a, b) in enumerate(zip(rt.alpha, rt.beta)):
@@ -130,10 +127,14 @@ class ScaleRatios:
 
 
 def scale_ratios(d: Dataset, o: int, tol: Tolerance = Tolerance()) -> ScaleRatios:
-    up = sigma_plus(d, o, tol)
-    down = sigma_minus(d, o, tol)
+    return _scale_ratios(efficient_table(d, o, _SUBJECT), tol)
+
+
+def _scale_ratios(rt: RatioTable, tol: Tolerance) -> ScaleRatios:
+    up = _sigma_plus(rt, tol)
+    down = _sigma_minus(rt, tol)
     return ScaleRatios(
-        reference=o,
+        reference=rt.reference,
         sigma_plus=up.value,
         sigma_minus=down.value,
         plus_witness=up.witness,

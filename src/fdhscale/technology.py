@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DimensionMismatchError
-from .model import Dataset, Delta, Numeric, check_index
+from .errors import DimensionMismatchError, InefficientUnitError
+from .model import Dataset, Delta, Numeric, RatioTable, check_index, ratio_table
 
 
 @dataclass(frozen=True)
@@ -112,3 +112,38 @@ def find_dominating(d: Dataset, delta: Delta, o: int) -> int | None:
 def is_efficient(d: Dataset, delta: Delta, o: int) -> bool:
     """Whether no admitted point of the technology dominates unit ``o``."""
     return find_dominating(d, delta, o) is None
+
+
+def dominating_peer(d: Dataset, rt: RatioTable) -> int | None:
+    """Lowest-index unit dominating the table's reference at fixed scale.
+
+    Reads variable-returns dominance off the ratio table: unit j fits
+    under the reference's inputs and over its outputs exactly when
+    ``alpha[j] <= 1 <= beta[j]``, also in floats (docs/derivations.md,
+    "One pass per unit"). As in :func:`find_dominating`, a unit whose data
+    coincides with the reference's is no witness; the two agree on every
+    dataset.
+    """
+    o = rt.reference
+    xo, yo = d.inputs[o], d.outputs[o]
+    for j, (a, b) in enumerate(zip(rt.alpha, rt.beta)):
+        if a <= 1 <= b and (d.inputs[j] != xo or d.outputs[j] != yo):
+            return j
+    return None
+
+
+def efficient_table(d: Dataset, o: int, subject: str) -> RatioTable:
+    """Ratio table of unit ``o``, which must be efficient at fixed scale.
+
+    Raises:
+        InefficientUnitError: some unit dominates ``o``; ``subject`` names
+            what is defined only for efficient units.
+    """
+    rt = ratio_table(d, o)
+    w = dominating_peer(d, rt)
+    if w is not None:
+        raise InefficientUnitError(
+            f"unit {d.names[o]!r} is dominated by {d.names[w]!r}; "
+            f"{subject} are defined for efficient units"
+        )
+    return rt

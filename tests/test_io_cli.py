@@ -367,6 +367,26 @@ class TestCli:
         rec = json.loads(out)["units"][4]
         assert rec["projected"] is True and rec["grs"] == "G-CRS"
 
+    @pytest.mark.parametrize("command", ["classify", "report"])
+    def test_mpss_flag_of_dominated_unit_uses_eps(self, capsys, tmp_path, command):
+        # A is dominated by B, and its crs score 1/1.0001 is within 5e-4 of 1
+        path = tmp_path / "near.csv"
+        path.write_text("dmu,in_x,out_y\nA,1,1\nB,1,1.0001\n", encoding="utf-8")
+        code, out, _ = self.run(
+            capsys, command, "--input", str(path), "--eps", "5e-4"
+        )
+        assert code == 0
+        rec = json.loads(out)["units"][0]
+        assert rec["efficient"] is False and rec["mpss"] is True
+
+    @pytest.mark.parametrize("command", ["efficiency", "response", "verify"])
+    def test_project_flag_only_where_it_applies(self, capsys, stair_csv, command):
+        argv = [command, "--input", str(stair_csv), "--project"]
+        if command == "response":
+            argv += ["--dmu", "B"]
+        code, _, err = self.run(capsys, *argv)
+        assert code == 1 and "--project" in err
+
     def test_missing_file_is_data_error(self, capsys):
         code, _, err = self.run(capsys, "report", "--input", "/no/such/file.csv")
         assert code == 2 and "PARSE_ERROR" in err

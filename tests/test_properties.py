@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import fdhscale as f
 from fdhscale import Delta, Point, RtsReport
+from fdhscale.technology import dominating_peer
 
 DELTAS = tuple(Delta)
 
@@ -75,6 +76,40 @@ def test_dominance_matches_componentwise_definition(d):
             for j in range(d.n)
         )
         assert (f.find_dominating(d, Delta.VRS, o) is not None) == direct
+
+
+NEAR_ONE = (1.0, 1.0 + 2**-52, 1.0 - 2**-53)
+
+
+@st.composite
+def near_tie_datasets(draw, exact):
+    """Rows drawn from values one ulp apart around 1 and small integers,
+    plus duplicate rows and proportional copies of earlier rows."""
+    n = draw(st.integers(1, 7))
+    m = draw(st.integers(1, 2))
+    s = draw(st.integers(1, 2))
+    pool = st.sampled_from(NEAR_ONE + (2.0, 3.0))
+    inputs, outputs = [], []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["fresh", "duplicate", "copy"])) if inputs else "fresh"
+        if kind == "fresh":
+            inputs.append([draw(pool) for _ in range(m)])
+            outputs.append([draw(pool) for _ in range(s)])
+        else:
+            k = draw(st.integers(0, len(inputs) - 1))
+            t = 1.0 if kind == "duplicate" else draw(st.sampled_from([0.5, 2.0, 3.0]))
+            inputs.append([t * v for v in inputs[k]])
+            outputs.append([t * v for v in outputs[k]])
+    d = f.validate_dataset([f"U{i + 1}" for i in range(n)], inputs, outputs)
+    return d.as_exact() if exact else d
+
+
+@given(st.one_of(near_tie_datasets(exact=False), near_tie_datasets(exact=True), datasets()))
+@settings(max_examples=150, deadline=None)
+def test_table_dominance_matches_interval_test(d):
+    for o in range(d.n):
+        rt = f.ratio_table(d, o)
+        assert dominating_peer(d, rt) == f.find_dominating(d, Delta.VRS, o)
 
 
 @given(datasets(), st.integers(0, 10**6))
