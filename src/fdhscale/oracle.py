@@ -19,7 +19,8 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable
+from itertools import chain
+from typing import Iterable, Iterator
 
 from .errors import InefficientUnitError, OutOfDomainError
 from .model import Dataset, Delta, Numeric, Tolerance, check_index, validate_dataset
@@ -152,6 +153,29 @@ def _sweep_domain(
     return max(amax, Fraction(2))
 
 
+def _curve_runs(
+    pairs: list[tuple[Fraction, Fraction]], *runs: Iterable[Fraction]
+) -> Iterator[tuple[Fraction, Fraction]]:
+    """Yield ``(p, max(b for a, b in pairs if a <= p))`` for each point of each run.
+
+    Every run must be ascending. The pairs are sorted by ``a`` once; each
+    run is then merged against them, keeping a running maximum of ``b``. A
+    point below every ``a`` raises ``ValueError``, as the empty ``max()``
+    would.
+    """
+    ordered = sorted(pairs, key=lambda ab: ab[0])
+    for run in runs:
+        k, best = 0, None
+        for p in run:
+            while k < len(ordered) and ordered[k][0] <= p:
+                if best is None or ordered[k][1] > best:
+                    best = ordered[k][1]
+                k += 1
+            if best is None:
+                raise ValueError(f"no pair has a <= {p!r}")
+            yield p, best
+
+
 def oracle_sigma_plus(
     d: Dataset, o: int, cfg: OracleConfig = OracleConfig()
 ) -> Fraction:
@@ -164,22 +188,22 @@ def oracle_sigma_plus(
     """
     _require_efficient(d, o)
     pairs = _exact_pairs(d, o)
-
-    def curve(alpha: Fraction) -> Fraction:
-        return max(b for a, b in pairs if a <= alpha)
-
-    values = [(b - 1) / (a - 1) for a, b in pairs if a > 1]
     amax = _sweep_domain(pairs, cfg)
-    points: list[Fraction] = []
     above = sorted({a for a, _ in pairs if 1 < a <= amax})
-    if above:
-        points.append((1 + above[0]) / 2)
-        points.extend(above)
-        points.extend((u + v) / 2 for u, v in zip(above, above[1:]))
     step = (amax - 1) / cfg.grid_steps
-    points.extend(1 + k * step for k in range(1, cfg.grid_steps + 1))
-    values.extend((curve(p) - 1) / (p - 1) for p in points)
-    peak = max(values)
+    curve = _curve_runs(
+        pairs,
+        [(1 + a) / 2 for a in above[:1]],
+        above,
+        ((u + v) / 2 for u, v in zip(above, above[1:])),
+        (1 + k * step for k in range(1, cfg.grid_steps + 1)),
+    )
+    peak = max(
+        chain(
+            ((b - 1) / (a - 1) for a, b in pairs if a > 1),
+            ((v - 1) / (p - 1) for p, v in curve),
+        )
+    )
     return peak if peak > 0 else Fraction(0)
 
 
@@ -197,13 +221,13 @@ def oracle_sigma_minus(
     if amin >= 1:
         return UNBOUNDED
 
-    def curve(alpha: Fraction) -> Fraction:
-        return max(b for a, b in pairs if a <= alpha)
-
-    points = sorted({a for a, _ in pairs if a < 1})
     step = (1 - amin) / cfg.grid_steps
-    points.extend(amin + k * step for k in range(cfg.grid_steps))
-    return min((curve(p) - 1) / (p - 1) for p in points)
+    curve = _curve_runs(
+        pairs,
+        sorted({a for a, _ in pairs if a < 1}),
+        (amin + k * step for k in range(cfg.grid_steps)),
+    )
+    return min((v - 1) / (p - 1) for p, v in curve)
 
 
 def oracle_system_feasible(
@@ -368,30 +392,37 @@ def verify_dataset(
             continue
         pairs = _exact_pairs(d, o)
         amax = _sweep_domain(pairs, cfg)
-        pts = list(thresholds)
-        pts.extend((u + v) / 2 for u, v in zip(thresholds, thresholds[1:]))
         lo = thresholds[0]
         step = (amax - lo) / cfg.grid_steps
-        pts.extend(lo + k * step for k in range(cfg.grid_steps + 1))
-        for alpha in pts:
+        curve = _curve_runs(
+            pairs,
+            thresholds,
+            ((u + v) / 2 for u, v in zip(thresholds, thresholds[1:])),
+            (lo + k * step for k in range(cfg.grid_steps + 1)),
+        )
+        for alpha, want in curve:
             count += 1
-            if r.evaluate(alpha) != max(b for a, b in pairs if a <= alpha):
+            if r.evaluate(alpha) != want:
                 fails.append(f"curve mismatch at {d.names[o]}, alpha={alpha!r}")
                 break
     run("response-curve-matches-sweep", fails, count)
 
-    # scale ratios vs secant sweeps
+    # scale ratios vs secant sweeps, one sweep per unit and side
+    swept = {
+        o: (oracle_sigma_plus(d, o, cfg), oracle_sigma_minus(d, o, cfg))
+        for o in efficient
+    }
     fails = []
     for o in efficient:
         fast = scale_mod.sigma_plus(d, o, tol).value
-        slow = oracle_sigma_plus(d, o, cfg)
+        slow = swept[o][0]
         if fast != slow:
             fails.append(f"sigma_plus of {d.names[o]}: {fast!r} != {slow!r}")
     run("max-incremental-ratio-matches-sweep", fails, len(efficient))
     fails = []
     for o in efficient:
         fast = scale_mod.sigma_minus(d, o, tol).value
-        slow = oracle_sigma_minus(d, o, cfg)
+        slow = swept[o][1]
         if fast != slow:
             fails.append(f"sigma_minus of {d.names[o]}: {fast!r} != {slow!r}")
     run("min-decremental-ratio-matches-sweep", fails, len(efficient))
@@ -422,7 +453,7 @@ def verify_dataset(
     # one-sided classes vs ratio thresholds
     fails = []
     for o in efficient:
-        sp = oracle_sigma_plus(d, o, cfg)
+        sp, sm = swept[o]
         right = rts_mod.right_rts(d, o, tol)
         expect = (
             rts_mod.RightRts.IRS
@@ -433,7 +464,6 @@ def verify_dataset(
         )
         if right is not expect:
             fails.append(f"right class of {d.names[o]} off ratio {sp!r}")
-        sm = oracle_sigma_minus(d, o, cfg)
         left = rts_mod.left_rts(d, o, tol)
         expect_l = (
             rts_mod.LeftRts.IRS

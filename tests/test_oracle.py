@@ -1,9 +1,11 @@
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
 
 import fdhscale as f
 from fdhscale import Delta, OracleConfig, ScalingSystem, UNBOUNDED
+from fdhscale import efficiency, response, scale
 
 from conftest import make_staircase, with_dominated
 
@@ -160,6 +162,52 @@ class TestVerification:
         assert good.merge(bad) is bad
         assert bad.merge(good) is bad
         assert good.merge(f.CheckResult("x", True, "ok2")).detail == "ok2"
+
+
+TINY = F(1, 10**9)
+
+
+def _nudge_sigma(r):
+    return r if r.value is UNBOUNDED else r._replace(value=r.value + TINY)
+
+
+def _nudge_last_step(r):
+    t, v = r.steps[-1]
+    return dataclasses.replace(r, steps=r.steps[:-1] + ((t, v + TINY),))
+
+
+def _nudge_score(sc):
+    return dataclasses.replace(sc, value=sc.value + TINY)
+
+
+class TestPlantedFaults:
+    """Each fast-path quantity verify compares, made slightly wrong, must fail its check.
+
+    This guards the oracle side of every comparison: a check that compared
+    a value with itself would keep passing here.
+    """
+
+    @pytest.mark.parametrize(
+        "module,attr,nudge,check",
+        [
+            (scale, "sigma_plus", _nudge_sigma, "max-incremental-ratio-matches-sweep"),
+            (scale, "sigma_minus", _nudge_sigma, "min-decremental-ratio-matches-sweep"),
+            (response, "build_response", _nudge_last_step, "response-curve-matches-sweep"),
+            (efficiency, "theta", _nudge_score, "radial-scores-match-enumeration"),
+        ],
+    )
+    def test_check_fails_and_cli_exits_3(
+        self, capsys, monkeypatch, stair_csv, module, attr, nudge, check
+    ):
+        right = getattr(module, attr)
+        monkeypatch.setattr(module, attr, lambda *args: nudge(right(*args)))
+        code = f.main(
+            ["verify", "--input", str(stair_csv), "--trials", "0", "--grid-steps", "100"]
+        )
+        lines = capsys.readouterr().out.splitlines()
+        status = {line.split()[0]: line.split()[1] for line in lines}
+        assert status[check] == "FAIL"
+        assert status["overall"] == "FAIL" and code == 3
 
 
 class TestConfig:

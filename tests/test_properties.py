@@ -8,10 +8,12 @@ that floats tend to get wrong, in exact arithmetic.
 import random
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import fdhscale as f
 from fdhscale import Delta, Point, RtsReport
+from fdhscale.oracle import _curve_runs
 from fdhscale.technology import dominating_peer
 
 DELTAS = tuple(Delta)
@@ -133,6 +135,32 @@ def test_response_is_canonical_monotone_and_agrees_with_scans(d, salt):
             if last is not None:
                 assert val >= last
             last = val
+
+
+small = st.builds(F, st.integers(1, 16), st.sampled_from([1, 2, 4]))
+
+
+@given(
+    st.lists(st.tuples(small, small), min_size=1, max_size=8),
+    st.lists(st.lists(small, max_size=12), min_size=1, max_size=3),
+    st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_curve_merge_equals_rescan(pairs, runs, data):
+    # runs mix fresh points with points exactly at a threshold
+    runs = [
+        sorted(run + data.draw(st.lists(st.sampled_from([a for a, _ in pairs]))))
+        for run in runs
+    ]
+    lowest = min(a for a, _ in pairs)
+    try:
+        want = [(p, max(b for a, b in pairs if a <= p)) for run in runs for p in run]
+    except ValueError:
+        assert any(p < lowest for run in runs for p in run)
+        with pytest.raises(ValueError):
+            list(_curve_runs(pairs, *runs))
+        return
+    assert list(_curve_runs(pairs, *runs)) == want
 
 
 @given(datasets(), positive, positive)
