@@ -19,6 +19,12 @@ class NonpositiveValueError(AnalysisError):
     code = "NONPOSITIVE_VALUE"
 
 
+class ValueSpreadError(AnalysisError):
+    """A float column spans too many orders of magnitude for double arithmetic."""
+
+    code = "VALUE_SPREAD"
+
+
 class DuplicateNameError(AnalysisError):
     """Two units share a name."""
 

@@ -14,6 +14,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -45,13 +46,14 @@ def read_csv(source: Union[str, Path], exact: bool = False) -> Dataset:
     to doubles.
     """
     try:
-        text = Path(source).read_text(encoding="utf-8")
+        text = Path(source).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ParseError(f"cannot read {source}: {exc}") from exc
     return read_csv_text(text, exact=exact)
 
 
 def read_csv_text(text: str, exact: bool = False) -> Dataset:
+    text = text.removeprefix("\ufeff")  # a byte-order mark is not part of 'dmu'
     rows = [row for row in csv.reader(io.StringIO(text)) if row]
     if not rows:
         raise EmptyDatasetError("no header row")
@@ -83,6 +85,8 @@ def read_csv_text(text: str, exact: bool = False) -> Dataset:
             raise RaggedRowsError(
                 f"row {rownum} has {len(cells)} cells, header has {len(header)}"
             )
+        if not cells[0]:
+            raise ParseError(f"row {rownum}: empty unit name")
         names.append(cells[0])
 
         def parse(col: int) -> Numeric:
@@ -97,7 +101,8 @@ def read_csv_text(text: str, exact: bool = False) -> Dataset:
 
         inputs.append([parse(c) for c in in_cols])
         outputs.append([parse(c) for c in out_cols])
-    return validate_dataset(names, inputs, outputs)
+    columns = [header[c] for c in in_cols + out_cols]
+    return validate_dataset(names, inputs, outputs, columns)
 
 
 def write_csv(d: Dataset, destination: Union[str, Path, None] = None) -> str:
@@ -318,6 +323,17 @@ def write_report(document: dict, destination: Union[str, Path, None] = None) -> 
 # command line
 
 
+def _float(text: str) -> float:
+    """Flag value parsed as a float; NaN is refused, since it compares false with everything."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if math.isnan(value):
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         self.exit(1, f"{self.prog}: error: {message}\n")
@@ -371,7 +387,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("response", help="step list of one unit's response function")
     common(p)
     p.add_argument("--dmu", required=True, help="unit name")
-    p.add_argument("--alpha-max", type=float, default=None, help="cap listed thresholds")
+    p.add_argument("--alpha-max", type=_float, default=None, help="cap listed thresholds")
     p.add_argument("--emit", default=None, help="CSV output path")
     p.set_defaults(func=_cmd_response)
 

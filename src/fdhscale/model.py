@@ -27,6 +27,7 @@ from .errors import (
     IndexOutOfRangeError,
     NonpositiveValueError,
     RaggedRowsError,
+    ValueSpreadError,
 )
 
 Numeric = Union[int, float, Fraction]
@@ -143,18 +144,42 @@ def _positive_finite(v: Numeric) -> bool:
         return False
 
 
+# Every quantity the analysis computes is a ratio of two entries of one
+# column, or a product or quotient of two such ratios. A column whose largest
+# entry is at most 2**511 times its smallest keeps all of them within the
+# normal double range.
+_FLOAT_SPREAD = 2**511
+
+
+def _check_spread(label: str, column: Sequence[Numeric]) -> None:
+    if all(isinstance(v, Fraction) for v in column):
+        return  # exact arithmetic cannot overflow
+    lo, hi = min(column), max(column)
+    if Fraction(hi) > _FLOAT_SPREAD * Fraction(lo):
+        raise ValueSpreadError(
+            f"column {label!r} spans {lo!r} to {hi!r}; its ratios leave the "
+            "double range (largest/smallest must be at most 2**511)"
+        )
+
+
 def validate_dataset(
     names: Sequence[str],
     inputs: Sequence[Sequence[Numeric]],
     outputs: Sequence[Sequence[Numeric]],
+    columns: Sequence[str] | None = None,
 ) -> Dataset:
     """Check and freeze a parsed table.
+
+    ``columns`` names the input then the output columns in error messages
+    (default ``in_1, ..., out_1, ...``).
 
     Raises:
         EmptyDatasetError: no rows, or a unit with no inputs or no outputs.
         RaggedRowsError: row counts or row lengths disagree.
         DuplicateNameError: repeated unit name.
         NonpositiveValueError: an entry is not a positive finite number.
+        ValueSpreadError: a column that is not all exact rationals has
+            entries more than 2**511 apart in ratio.
     """
     names = tuple(str(x) for x in names)
     rows_x = tuple(tuple(row) for row in inputs)
@@ -179,6 +204,10 @@ def validate_dataset(
                 raise NonpositiveValueError(
                     f"unit {names[k]!r} has non-positive entry {v!r}"
                 )
+    if columns is None:
+        columns = [f"in_{k + 1}" for k in range(m)] + [f"out_{k + 1}" for k in range(s)]
+    for label, column in zip(columns, (*zip(*rows_x), *zip(*rows_y))):
+        _check_spread(label, column)
     seen: set[str] = set()
     for name in names:
         if name in seen:

@@ -63,6 +63,8 @@ class TestReadCsv:
             ("dmu,in_a,out_b\nU,1,2\nU,3,4\n", f.DuplicateNameError),
             ("dmu,in_a,out_b\nU,0,2\n", f.NonpositiveValueError),
             ("dmu,in_a,out_b\nU,-1,2\n", f.NonpositiveValueError),
+            ("dmu,in_a,out_b\n,1,2\n", f.ParseError),
+            ("dmu,in_a,out_b\nU,1e-200,2\nV,1e200,2\n", f.ValueSpreadError),
         ],
     )
     def test_rejected_inputs(self, text, error):
@@ -74,6 +76,13 @@ class TestReadCsv:
             f.read_csv_text("dmu,in_a,out_b\nU,1,2\nV,bad,4\n")
         msg = str(exc.value)
         assert "row 3" in msg and "in_a" in msg and "bad" in msg
+
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        text = "\ufeffdmu,in_a,out_b\nU,1,2\n"
+        path = tmp_path / "bom.csv"
+        path.write_text(text, encoding="utf-8")
+        for d in (f.read_csv(path), f.read_csv_text(text)):
+            assert d.names == ("U",) and d.inputs[0] == (1.0,)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(f.ParseError):
@@ -423,6 +432,51 @@ class TestCli:
         path.write_text("dmu,in_x,out_y\nA,0,2\n", encoding="utf-8")
         code, _, err = self.run(capsys, "report", "--input", str(path))
         assert code == 2 and "NONPOSITIVE_VALUE" in err
+
+
+class TestInputDefects:
+    """Malformed or extreme input ends in one error line and a documented code."""
+
+    def run(self, capsys, tmp_path, text, *argv):
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode("utf-8"))
+        code = f.main([argv[0], "--input", str(path), *argv[1:]])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_byte_order_mark(self, capsys, tmp_path):
+        text = "\ufeffdmu,in_x,out_y\nA,1,2\nB,3,4\nC,5,5\nD,6,13\n"
+        code, out, err = self.run(capsys, tmp_path, text, "classify")
+        assert code == 0 and err == ""
+        assert [rec["name"] for rec in json.loads(out)["units"]] == ["A", "B", "C", "D"]
+
+    def test_empty_unit_name(self, capsys, tmp_path):
+        code, out, err = self.run(capsys, tmp_path, "dmu,in_x,out_y\n,1,2\n", "report")
+        assert code == 2 and out == ""
+        assert err == "error [PARSE_ERROR]: row 2: empty unit name\n"
+
+    def test_nan_alpha_max(self, capsys, tmp_path):
+        text = "dmu,in_x,out_y\nA,1,2\n"
+        code, out, err = self.run(
+            capsys, tmp_path, text, "response", "--dmu", "A", "--alpha-max", "nan"
+        )
+        assert code == 1 and out == "" and "--alpha-max" in err
+
+    @pytest.mark.parametrize("command", ["report", "classify"])
+    @pytest.mark.parametrize("power", [150, 200])
+    def test_ratios_outside_double_range(self, capsys, tmp_path, command, power):
+        text = f"dmu,in_x,out_y\nA,1e-{power},1e{power}\nB,1e{power},1e-{power}\n"
+        code, out, err = self.run(capsys, tmp_path, text, command)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error [VALUE_SPREAD]: column 'in_x'")
+
+    def test_wide_exact_data_still_verifies(self, capsys, tmp_path):
+        text = "dmu,in_x,out_y\nA,1e-200,1e200\nB,1e200,1e-200\n"
+        code, out, _ = self.run(
+            capsys, tmp_path, text, "verify", "--trials", "0", "--grid-steps", "100"
+        )
+        assert code == 0 and "FAIL" not in out
 
 
 class TestEntryPoints:

@@ -59,6 +59,22 @@ class TestValidation:
         assert "B" in str(exc.value)
 
 
+    def test_float_column_spread_is_bounded(self):
+        edge = 2.0**-255, 2.0**256
+        assert f.validate_dataset(["A", "B"], [[v] for v in edge], [[1], [1]])
+        with pytest.raises(f.ValueSpreadError) as exc:
+            f.validate_dataset(["A", "B"], [[1], [1]], [[2.0**-255], [2.0**257]])
+        assert "'out_1'" in str(exc.value)
+        with pytest.raises(f.ValueSpreadError) as exc:
+            f.validate_dataset(["A", "B"], [[1], [10**160]], [[1], [1]], ["x", "y"])
+        assert "'x'" in str(exc.value)
+
+    def test_exact_columns_have_no_spread_limit(self):
+        wide = [[F(1, 10**200)], [F(10**200)]]
+        d = f.validate_dataset(["A", "B"], wide, wide[::-1])
+        assert f.ratio_table(d, 0).alpha == (1, F(10**400))
+
+
 class TestDataset:
     def test_index_of(self, stair):
         assert stair.index_of("C") == 2
