@@ -324,7 +324,7 @@ def write_report(document: dict, destination: Union[str, Path, None] = None) -> 
 
 
 def _float(text: str) -> float:
-    """Flag value parsed as a float; NaN is refused, since it compares false with everything."""
+    """A float flag value other than NaN, which compares false with everything."""
     try:
         value = float(text)
     except ValueError:

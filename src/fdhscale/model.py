@@ -206,7 +206,7 @@ def validate_dataset(
                 )
     if columns is None:
         columns = [f"in_{k + 1}" for k in range(m)] + [f"out_{k + 1}" for k in range(s)]
-    for label, column in zip(columns, (*zip(*rows_x), *zip(*rows_y))):
+    for label, column in zip(columns, (*zip(*rows_x), *zip(*rows_y)), strict=True):
         _check_spread(label, column)
     seen: set[str] = set()
     for name in names:

@@ -9,6 +9,12 @@ grid corroborates while the structural points pin the exact extremum.
 Feasibility of the strict and weak scaling systems is decided from exact
 interval endpoints, never by sampling.
 
+Each sweep evaluates the curve by merging its ascending runs of points
+against the peers sorted by input ratio, O(n log n + G) for G points
+instead of a rescan of all n peers per point; the fast path's dict and
+bisection share no code with it. ``verify_dataset`` runs each ratio sweep
+once per efficient unit.
+
 Every function converts the dataset to ``fractions.Fraction`` first, so
 results are exact relative to the stored values.
 """
@@ -156,24 +162,24 @@ def _sweep_domain(
 def _curve_runs(
     pairs: list[tuple[Fraction, Fraction]], *runs: Iterable[Fraction]
 ) -> Iterator[tuple[Fraction, Fraction]]:
-    """Yield ``(p, max(b for a, b in pairs if a <= p))`` for each point of each run.
+    """Yield ``(p, max(b for a, b in pairs if a <= p))`` for the points of all runs.
 
-    Every run must be ascending. The pairs are sorted by ``a`` once; each
-    run is then merged against them, keeping a running maximum of ``b``. A
-    point below every ``a`` raises ``ValueError``, as the empty ``max()``
-    would.
+    A running maximum over the pairs sorted by ``a``: linear while the
+    points ascend; a point below a threshold already passed restarts the
+    merge. A point below every ``a`` raises ``ValueError``, as ``max()`` would.
     """
     ordered = sorted(pairs, key=lambda ab: ab[0])
-    for run in runs:
-        k, best = 0, None
-        for p in run:
-            while k < len(ordered) and ordered[k][0] <= p:
-                if best is None or ordered[k][1] > best:
-                    best = ordered[k][1]
-                k += 1
-            if best is None:
-                raise ValueError(f"no pair has a <= {p!r}")
-            yield p, best
+    k, best = 0, None
+    for p in chain.from_iterable(runs):
+        if k and ordered[k - 1][0] > p:
+            k, best = 0, None
+        while k < len(ordered) and ordered[k][0] <= p:
+            if best is None or ordered[k][1] > best:
+                best = ordered[k][1]
+            k += 1
+        if best is None:
+            raise ValueError(f"no pair has a <= {p!r}")
+        yield p, best
 
 
 def oracle_sigma_plus(
@@ -198,12 +204,8 @@ def oracle_sigma_plus(
         ((u + v) / 2 for u, v in zip(above, above[1:])),
         (1 + k * step for k in range(1, cfg.grid_steps + 1)),
     )
-    peak = max(
-        chain(
-            ((b - 1) / (a - 1) for a, b in pairs if a > 1),
-            ((v - 1) / (p - 1) for p, v in curve),
-        )
-    )
+    pair_slopes = ((b - 1) / (a - 1) for a, b in pairs if a > 1)
+    peak = max(chain(pair_slopes, ((v - 1) / (p - 1) for p, v in curve)))
     return peak if peak > 0 else Fraction(0)
 
 
