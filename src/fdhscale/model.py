@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import chain
 from typing import Sequence, Union
 
 from .errors import (
@@ -206,7 +207,7 @@ def validate_dataset(
                 )
     if columns is None:
         columns = [f"in_{k + 1}" for k in range(m)] + [f"out_{k + 1}" for k in range(s)]
-    for label, column in zip(columns, (*zip(*rows_x), *zip(*rows_y)), strict=True):
+    for label, column in zip(columns, chain(zip(*rows_x), zip(*rows_y)), strict=True):
         _check_spread(label, column)
     seen: set[str] = set()
     for name in names:
