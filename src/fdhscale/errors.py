@@ -20,7 +20,7 @@ class NonpositiveValueError(AnalysisError):
 
 
 class ValueSpreadError(AnalysisError):
-    """A float column spans too many orders of magnitude for double arithmetic."""
+    """A float value, or the span of a float column, exceeds what doubles can hold."""
 
     code = "VALUE_SPREAD"
 

@@ -31,6 +31,7 @@ from .errors import (
     RaggedRowsError,
     ReportWriteError,
     UnclassifiableError,
+    ValueSpreadError,
 )
 from .model import Dataset, Delta, Numeric, Orientation, Tolerance, validate_dataset
 from .oracle import OracleConfig, merge_checks, verify_dataset, verify_random
@@ -97,7 +98,15 @@ def read_csv_text(text: str, exact: bool = False) -> Dataset:
                 raise ParseError(
                     f"row {rownum}, column {header[col]!r}: bad number {textval!r}"
                 ) from exc
-            return value if exact else float(value)
+            if exact:
+                return value
+            try:
+                return float(value)
+            except OverflowError as exc:
+                raise ValueSpreadError(
+                    f"row {rownum}, column {header[col]!r}: {textval!r} is "
+                    "outside the double range"
+                ) from exc
 
         inputs.append([parse(c) for c in in_cols])
         outputs.append([parse(c) for c in out_cols])

@@ -461,13 +461,19 @@ class TestInputDefects:
         assert code == 1 and out == "" and "--alpha-max" in err
 
     @pytest.mark.parametrize("command", ["report", "classify"])
-    @pytest.mark.parametrize("power", [150, 200])
-    def test_ratios_outside_double_range(self, capsys, tmp_path, command, power):
-        text = f"dmu,in_x,out_y\nA,1e-{power},1e{power}\nB,1e{power},1e-{power}\n"
-        code, out, err = self.run(capsys, tmp_path, text, command)
+    @pytest.mark.parametrize(
+        "rows,where",
+        [
+            ("A,1e-150,1e150\nB,1e150,1e-150\n", "column 'in_x'"),
+            ("A,1e-200,1e200\nB,1e200,1e-200\n", "column 'in_x'"),
+            ("A,1,2\nB,3,1e400\n", "row 3, column 'out_y'"),
+        ],
+    )
+    def test_values_outside_double_range(self, capsys, tmp_path, command, rows, where):
+        code, out, err = self.run(capsys, tmp_path, "dmu,in_x,out_y\n" + rows, command)
         assert code == 2 and out == ""
         assert err.count("\n") == 1
-        assert err.startswith("error [VALUE_SPREAD]: column 'in_x'")
+        assert err.startswith(f"error [VALUE_SPREAD]: {where}")
 
     def test_wide_exact_data_still_verifies(self, capsys, tmp_path):
         text = "dmu,in_x,out_y\nA,1e-200,1e200\nB,1e200,1e-200\n"
