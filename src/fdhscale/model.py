@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import chain
 from typing import Sequence, Union
 
 from .errors import (
@@ -171,8 +170,8 @@ def validate_dataset(
 ) -> Dataset:
     """Check and freeze a parsed table.
 
-    ``columns`` names the input then the output columns in error messages
-    (default ``in_1, ..., out_1, ...``).
+    ``columns`` gives one name per input then output column, for error
+    messages (default ``in_1, ..., out_1, ...``).
 
     Raises:
         EmptyDatasetError: no rows, or a unit with no inputs or no outputs.
@@ -207,8 +206,11 @@ def validate_dataset(
                 )
     if columns is None:
         columns = [f"in_{k + 1}" for k in range(m)] + [f"out_{k + 1}" for k in range(s)]
-    for label, column in zip(columns, chain(zip(*rows_x), zip(*rows_y)), strict=True):
-        _check_spread(label, column)
+    if len(columns) != m + s:
+        raise ValueError(f"{len(columns)} column names for {m + s} columns")
+    for k, label in enumerate(columns):
+        rows, c = (rows_x, k) if k < m else (rows_y, k - m)
+        _check_spread(label, [row[c] for row in rows])
     seen: set[str] = set()
     for name in names:
         if name in seen:

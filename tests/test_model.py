@@ -68,6 +68,8 @@ class TestValidation:
         with pytest.raises(f.ValueSpreadError) as exc:
             f.validate_dataset(["A", "B"], [[1], [10**160]], [[1], [1]], ["x", "y"])
         assert "'x'" in str(exc.value)
+        with pytest.raises(ValueError):
+            f.validate_dataset(["A"], [[1]], [[1]], ["x"])
 
     def test_exact_columns_have_no_spread_limit(self):
         wide = [[F(1, 10**200)], [F(10**200)]]
