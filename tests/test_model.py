@@ -58,7 +58,6 @@ class TestValidation:
             f.validate_dataset(["A", "B"], [[1], [0]], [[1], [2]])
         assert "B" in str(exc.value)
 
-
     def test_float_column_spread_is_bounded(self):
         edge = 2.0**-255, 2.0**256
         assert f.validate_dataset(["A", "B"], [[v] for v in edge], [[1], [1]])
