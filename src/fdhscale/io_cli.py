@@ -47,15 +47,28 @@ def read_csv(source: Union[str, Path], exact: bool = False) -> Dataset:
     to doubles.
     """
     try:
-        text = Path(source).read_text(encoding="utf-8-sig")
+        data = Path(source).read_bytes()
     except OSError as exc:
         raise ParseError(f"cannot read {source}: {exc}") from exc
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"cannot decode {source}: invalid UTF-8 at byte {exc.start}"
+        ) from exc
+    # What reading in text mode as utf-8-sig gives: one byte-order mark
+    # dropped, and universal newlines.
+    text = text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
     return read_csv_text(text, exact=exact)
 
 
 def read_csv_text(text: str, exact: bool = False) -> Dataset:
     text = text.removeprefix("\ufeff")  # a byte-order mark is not part of 'dmu'
-    rows = [row for row in csv.reader(io.StringIO(text)) if row]
+    reader = csv.reader(io.StringIO(text))
+    try:
+        rows = [row for row in reader if row]
+    except csv.Error as exc:  # e.g. a field beyond csv.field_size_limit()
+        raise ParseError(f"line {reader.line_num}: {exc}") from exc
     if not rows:
         raise EmptyDatasetError("no header row")
     header = [cell.strip() for cell in rows[0]]
@@ -89,29 +102,49 @@ def read_csv_text(text: str, exact: bool = False) -> Dataset:
         if not cells[0]:
             raise ParseError(f"row {rownum}: empty unit name")
         names.append(cells[0])
-
-        def parse(col: int) -> Numeric:
-            textval = cells[col]
-            try:
-                value = Fraction(textval)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ParseError(
-                    f"row {rownum}, column {header[col]!r}: bad number {textval!r}"
-                ) from exc
-            if exact:
-                return value
-            try:
-                return float(value)
-            except OverflowError as exc:
-                raise ValueSpreadError(
-                    f"row {rownum}, column {header[col]!r}: {textval!r} is "
-                    "outside the double range"
-                ) from exc
-
-        inputs.append([parse(c) for c in in_cols])
-        outputs.append([parse(c) for c in out_cols])
+        inputs.append([_cell(cells[c], exact, rownum, header[c]) for c in in_cols])
+        outputs.append([_cell(cells[c], exact, rownum, header[c]) for c in out_cols])
     columns = [header[c] for c in in_cols + out_cols]
     return validate_dataset(names, inputs, outputs, columns)
+
+
+# Python refuses int-string conversions beyond a digit limit that can be set
+# no lower than 640, so ``Fraction`` reads every cell this short in full.
+_SHORT_CELL = 640
+
+
+def _cell(text: str, exact: bool, rownum: int, column: str) -> Numeric:
+    """One number cell: a ``Fraction`` with ``exact``, else a double.
+
+    ``float(text)`` and ``float(Fraction(text))`` are both correctly
+    rounded, so a finite nonzero ``float(text)`` is the double ``Fraction``
+    would give. Every other cell takes the ``Fraction`` path: spellings only
+    it reads (``13/4``), ``nan`` and ``inf`` (bad numbers), and values that
+    overflow or underflow a double (a positive cell that rounds to 0.0).
+    """
+    if not exact and len(text) <= _SHORT_CELL:
+        try:
+            value = float(text)
+        except ValueError:
+            pass
+        else:
+            if value and math.isfinite(value):
+                return value
+    try:
+        q = Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"row {rownum}, column {column!r}: bad number {text!r}") from exc
+    if exact:
+        return q
+    try:
+        value = float(q)
+    except OverflowError:
+        value = math.inf
+    if math.isinf(value) or (q > 0 and not value):
+        raise ValueSpreadError(
+            f"row {rownum}, column {column!r}: {text!r} is outside the double range"
+        )
+    return value
 
 
 def write_csv(d: Dataset, destination: Union[str, Path, None] = None) -> str:
@@ -126,8 +159,8 @@ def write_csv(d: Dataset, destination: Union[str, Path, None] = None) -> str:
     for o in range(d.n):
         writer.writerow(
             [d.names[o]]
-            + [str(Fraction(v)) for v in d.inputs[o]]
-            + [str(Fraction(v)) for v in d.outputs[o]]
+            + [_rational(v) for v in d.inputs[o]]
+            + [_rational(v) for v in d.outputs[o]]
         )
     return _deliver(buf.getvalue(), destination)
 
@@ -141,19 +174,18 @@ def _deliver(text: str, destination: Union[str, Path, None]) -> str:
     return text
 
 
+def _rational(v: Numeric) -> str:
+    """``str(Fraction(v))`` without the ``Fraction``: lowest-terms ``n/d``, or ``n``."""
+    n, den = v.as_integer_ratio()
+    return f"{n}/{den}" if den != 1 else str(n)
+
+
 def _digest(d: Dataset) -> str:
-    h = hashlib.sha256()
-    for o in range(d.n):
-        line = "|".join(
-            [
-                d.names[o],
-                ",".join(str(Fraction(v)) for v in d.inputs[o]),
-                ",".join(str(Fraction(v)) for v in d.outputs[o]),
-            ]
-        )
-        h.update(line.encode("utf-8"))
-        h.update(b"\n")
-    return h.hexdigest()
+    lines = [
+        f"{name}|{','.join(map(_rational, xs))}|{','.join(map(_rational, ys))}\n"
+        for name, xs, ys in zip(d.names, d.inputs, d.outputs)
+    ]
+    return hashlib.sha256("".join(lines).encode("utf-8")).hexdigest()
 
 
 def _num(v: Any) -> Any:

@@ -122,11 +122,15 @@ class Dataset:
         )
 
     def as_float(self) -> "Dataset":
-        """Copy with every entry converted to a double."""
-        return Dataset(
+        """Copy with every entry converted to a double, validated like parsed data.
+
+        Raises:
+            ValueSpreadError: a column's ratios leave the double range.
+        """
+        return validate_dataset(
             self.names,
-            tuple(tuple(float(v) for v in row) for row in self.inputs),
-            tuple(tuple(float(v) for v in row) for row in self.outputs),
+            [[float(v) for v in row] for row in self.inputs],
+            [[float(v) for v in row] for row in self.outputs],
         )
 
 

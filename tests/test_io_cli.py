@@ -475,6 +475,45 @@ class TestInputDefects:
         assert err.count("\n") == 1
         assert err.startswith(f"error [VALUE_SPREAD]: {where}")
 
+    @pytest.mark.parametrize("argv", [("report",), ("ratios", "--dmu", "A")])
+    @pytest.mark.parametrize("cell", ["1e-400", "2e-324"])
+    def test_underflow_is_value_spread(self, capsys, tmp_path, argv, cell):
+        text = f"dmu,in_x,out_y\nA,1,2\nB,3,{cell}\n"
+        code, out, err = self.run(capsys, tmp_path, text, *argv)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error [VALUE_SPREAD]: row 3, column 'out_y': {cell!r} "
+            "is outside the double range\n"
+        )
+
+    @pytest.mark.parametrize("argv", [("report",), ("ratios", "--dmu", "A")])
+    @pytest.mark.parametrize(
+        "cell,entry", [("0", "0.0"), ("-0", "0.0"), ("-1", "-1.0"), ("-1e-400", "-0.0")]
+    )
+    def test_nonpositive_stays_nonpositive(self, capsys, tmp_path, argv, cell, entry):
+        text = f"dmu,in_x,out_y\nA,1,2\nB,3,{cell}\n"
+        code, out, err = self.run(capsys, tmp_path, text, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error [NONPOSITIVE_VALUE]: unit 'B' has non-positive entry {entry}\n"
+
+    def test_invalid_utf8(self, capsys, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"dmu,in_x,out_y\nA\xff,1,2\n")
+        code = f.main(["report", "--input", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == (
+            f"error [PARSE_ERROR]: cannot decode {path}: invalid UTF-8 at byte 16\n"
+        )
+
+    def test_field_beyond_csv_limit(self, capsys, tmp_path):
+        text = 'dmu,in_x,out_y\nA,1,2\nB,"' + "9" * 200_000 + '",2\n'
+        code, out, err = self.run(capsys, tmp_path, text, "report")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error [PARSE_ERROR]: line 3: field larger than field limit (131072)\n"
+        )
+
     def test_wide_exact_data_still_verifies(self, capsys, tmp_path):
         text = "dmu,in_x,out_y\nA,1e-200,1e200\nB,1e200,1e-200\n"
         code, out, _ = self.run(

@@ -97,6 +97,17 @@ class TestDataset:
         de = df.as_exact()
         assert de.inputs == stair.inputs and de.outputs == stair.outputs
 
+    def test_as_float_validates_the_copy(self, stair):
+        plain = tuple(tuple(float(v) for v in row) for row in stair.outputs)
+        assert stair.as_float() == f.Dataset(
+            stair.names, tuple(tuple(float(v) for v in row) for row in stair.inputs), plain
+        )
+        wide = [[F(1, 10**200)], [F(10**200)]]
+        d = f.validate_dataset(["A", "B"], wide, wide[::-1])
+        with pytest.raises(f.ValueSpreadError) as exc:
+            d.as_float()
+        assert "'in_1'" in str(exc.value)
+
     def test_dataset_is_immutable(self, stair):
         with pytest.raises(AttributeError):
             stair.names = ("X",)

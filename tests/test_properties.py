@@ -1,10 +1,15 @@
 """Invariants checked over generated data.
 
-Hypothesis drives the structural properties; a seeded loop at the end
+Hypothesis drives the structural properties, the equivalence of the fast
+CSV cell parse and dataset digest with their ``Fraction`` references, and a
+fuzz of the command line on random CSV text; a seeded loop at the end
 replays the adversarial construction (duplicates and exact ray copies)
 that floats tend to get wrong, in exact arithmetic.
 """
 
+import contextlib
+import hashlib
+import io
 import random
 from fractions import Fraction as F
 
@@ -12,7 +17,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fdhscale as f
-from fdhscale import Delta, Point, RtsReport
+from fdhscale import Delta, ParseError, Point, RtsReport, ValueSpreadError
+from fdhscale.io_cli import _cell, _digest
 from fdhscale.oracle import _curve_runs
 from fdhscale.technology import dominating_peer
 
@@ -219,6 +225,151 @@ def test_every_unit_classifies_and_reports_are_consistent(d):
             # output-slack domination leaves the radial input score at 1
             assert 0 < item.theta_vrs <= 1
             assert item.witness != item.reference
+
+
+# CSV cells: float reprs (with nan, inf, -0.0 and subnormals), fraction
+# literals (some over zero), nan/inf spellings, underscores and Unicode
+# digits in valid and invalid places, values beyond double range either
+# way, cells too long for the short-cell fast path, and arbitrary text.
+SPELLINGS = [
+    "nan", "-NaN", "inf", "+Infinity", "-inf", "iNfInItY", "1e400", "-1e400",
+    "1e-400", "-1e-400", "2e-324", "3e-324", "5e-324", "1.8e308",
+    "1.7976931348623157e308", ".5", "5.", "+3", "-0", "+0.0", "00012", "1_000",
+    "1__0", "_1", "1_", "1e1_0", "0x10", "13/4", "1 / 2", "1/0", "١٢٣",
+    "１２.５", "٣e٢", "", " 7 ", "0." + "1" * 700, "0." + "1" * 5000, "1" * 5000,
+]
+cells = st.one_of(
+    st.floats().map(repr),
+    st.builds("{}/{}".format, st.integers(-50, 10**20), st.integers(0, 10**6)),
+    st.sampled_from(SPELLINGS),
+    st.text(alphabet="0123456789_.eE+-/ ٣１", max_size=14),
+    st.text(max_size=8),
+)
+
+
+def _outcome(parse, *args):
+    try:
+        value = parse(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return type(value), repr(value)
+
+
+def _fraction_cell(text):
+    """The float cell parse by way of ``Fraction``, with the underflow rule."""
+    where = f"row 2, column 'in_x': {text!r}"
+    try:
+        q = F(text)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"row 2, column 'in_x': bad number {text!r}")
+    try:
+        value = float(q)
+    except OverflowError:
+        raise ValueSpreadError(f"{where} is outside the double range")
+    if q > 0 and value == 0:
+        raise ValueSpreadError(f"{where} is outside the double range")
+    return value
+
+
+def _exact_cell(text):
+    try:
+        return F(text)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"row 2, column 'in_x': bad number {text!r}")
+
+
+@given(cells)
+@settings(max_examples=600, deadline=None)
+def test_cell_parse_equals_fraction_path(text):
+    assert _outcome(_cell, text, False, 2, "in_x") == _outcome(_fraction_cell, text)
+    assert _outcome(_cell, text, True, 2, "in_x") == _outcome(_exact_cell, text)
+
+
+def _digest_by_fraction(d):
+    h = hashlib.sha256()
+    for o in range(d.n):
+        line = "|".join(
+            [
+                d.names[o],
+                ",".join(str(F(v)) for v in d.inputs[o]),
+                ",".join(str(F(v)) for v in d.outputs[o]),
+            ]
+        )
+        h.update(line.encode("utf-8"))
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+entries = st.one_of(
+    st.floats(min_value=0, exclude_min=True, allow_infinity=False),
+    st.integers(1, 10**30),
+    st.fractions(min_value=F(1, 10**12), max_value=F(10**12)),
+)
+
+
+@st.composite
+def raw_datasets(draw):
+    """Unvalidated datasets mixing float, int and Fraction entries."""
+    n, m, s = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    names = tuple(draw(st.text(max_size=4)) for _ in range(n))
+    inputs = tuple(tuple(draw(entries) for _ in range(m)) for _ in range(n))
+    outputs = tuple(tuple(draw(entries) for _ in range(s)) for _ in range(n))
+    return f.Dataset(names, inputs, outputs)
+
+
+@given(raw_datasets())
+@settings(max_examples=100, deadline=None)
+def test_digest_equals_fraction_strings(d):
+    assert _digest(d) == _digest_by_fraction(d)
+
+
+def one_in(k):
+    return st.sampled_from([True] + [False] * (k - 1))
+
+
+@st.composite
+def csv_files(draw):
+    """CSV bytes: a valid header, then rows that may be ragged, unnamed or repeated.
+
+    Most cells are plain positive numbers; about one row in five has one
+    cell drawn from ``cells``, and one in ten has a random width.
+    """
+    m, s = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    header = ["dmu"] + [f"in_{k}" for k in range(m)] + [f"out_{k}" for k in range(s)]
+    plain = st.one_of(st.integers(1, 50).map(str), st.floats(0.01, 100).map(repr))
+    lines = [",".join(header)]
+    for k in range(draw(st.integers(0, 6))):
+        ragged, messy = draw(one_in(10)), draw(one_in(5))
+        width = draw(st.integers(0, 7)) if ragged else len(header)
+        row = [draw(st.sampled_from([f"U{k}"] * 6 + ["U0", ""]))]
+        row += [draw(plain) for _ in range(width - 1)]
+        if messy and len(row) > 1:
+            row[draw(st.integers(1, len(row) - 1))] = draw(cells)
+        lines.append(",".join(row))
+    text = "\n".join(lines) + "\n"
+    bom = draw(st.sampled_from([b"", b"\xef\xbb\xbf"]))
+    bad_byte = draw(st.sampled_from([b""] * 5 + [b"\xff"]))
+    return bom + text.encode("utf-8") + bad_byte
+
+
+def _main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = f.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(data=csv_files())
+@settings(max_examples=120, deadline=None)
+def test_cli_on_random_csv_exits_cleanly(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("fuzz") / "data.csv"
+    path.write_bytes(data)
+    for argv in (["report"], ["ratios", "--dmu", "U0"]):
+        argv = [argv[0], "--input", str(path), *argv[1:]]
+        code, out, err = _main(argv)
+        assert code in (0, 1, 2, 3)
+        assert err.count("\n") <= 1 and "Traceback" not in err
+        assert _main(argv)[1] == out
 
 
 def test_adversarial_duplicates_and_rays_in_exact_arithmetic():
