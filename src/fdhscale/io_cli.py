@@ -47,11 +47,9 @@ def read_csv(source: Union[str, Path], exact: bool = False) -> Dataset:
     to doubles.
     """
     try:
-        data = Path(source).read_bytes()
+        text = Path(source).read_bytes().decode("utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {source}: {exc}") from exc
-    try:
-        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(
             f"cannot decode {source}: invalid UTF-8 at byte {exc.start}"
@@ -64,11 +62,7 @@ def read_csv(source: Union[str, Path], exact: bool = False) -> Dataset:
 
 def read_csv_text(text: str, exact: bool = False) -> Dataset:
     text = text.removeprefix("\ufeff")  # a byte-order mark is not part of 'dmu'
-    reader = csv.reader(io.StringIO(text))
-    try:
-        rows = [row for row in reader if row]
-    except csv.Error as exc:  # e.g. a field beyond csv.field_size_limit()
-        raise ParseError(f"line {reader.line_num}: {exc}") from exc
+    rows = _csv_rows(text)
     if not rows:
         raise EmptyDatasetError("no header row")
     header = [cell.strip() for cell in rows[0]]
@@ -106,6 +100,15 @@ def read_csv_text(text: str, exact: bool = False) -> Dataset:
         outputs.append([_cell(cells[c], exact, rownum, header[c]) for c in out_cols])
     columns = [header[c] for c in in_cols + out_cols]
     return validate_dataset(names, inputs, outputs, columns)
+
+
+def _csv_rows(text: str) -> list[list[str]]:
+    """The non-empty records of a CSV text; a malformed one is a ``ParseError``."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        return [row for row in reader if row]
+    except csv.Error as exc:  # e.g. a field beyond csv.field_size_limit()
+        raise ParseError(f"line {reader.line_num}: {exc}") from exc
 
 
 # Python refuses int-string conversions beyond a digit limit that can be set
@@ -181,11 +184,11 @@ def _rational(v: Numeric) -> str:
 
 
 def _digest(d: Dataset) -> str:
-    lines = [
-        f"{name}|{','.join(map(_rational, xs))}|{','.join(map(_rational, ys))}\n"
-        for name, xs, ys in zip(d.names, d.inputs, d.outputs)
-    ]
-    return hashlib.sha256("".join(lines).encode("utf-8")).hexdigest()
+    h = hashlib.sha256()
+    for name, xs, ys in zip(d.names, d.inputs, d.outputs):
+        line = f"{name}|{','.join(map(_rational, xs))}|{','.join(map(_rational, ys))}\n"
+        h.update(line.encode("utf-8"))
+    return h.hexdigest()
 
 
 def _num(v: Any) -> Any:

@@ -252,7 +252,7 @@ def _outcome(parse, *args):
         value = parse(*args)
     except Exception as exc:
         return type(exc), str(exc)
-    return type(value), repr(value)
+    return type(value), repr(value) if isinstance(value, float) else value
 
 
 def _fraction_cell(text):
