@@ -15,6 +15,7 @@ import hashlib
 import io
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -114,6 +115,11 @@ def _csv_rows(text: str) -> list[list[str]]:
 # Python refuses int-string conversions beyond a digit limit that can be set
 # no lower than 640, so ``Fraction`` reads every cell this short in full.
 _SHORT_CELL = 640
+# A decimal exponent as ``Fraction`` reads it, after the rest of the literal.
+_EXPONENT = re.compile(r"(.*)e([-+]?\d+(?:_\d+)*)\s*", re.IGNORECASE | re.DOTALL)
+# An exact cell whose decimal exponent exceeds this in magnitude is refused:
+# ``Fraction`` builds 10**exponent, whose cost grows faster than the exponent.
+_MAX_EXPONENT = 10**6
 
 
 def _cell(text: str, exact: bool, rownum: int, column: str) -> Numeric:
@@ -133,10 +139,11 @@ def _cell(text: str, exact: bool, rownum: int, column: str) -> Numeric:
         else:
             if value and math.isfinite(value):
                 return value
+    where = f"row {rownum}, column {column!r}"
     try:
-        q = Fraction(text)
+        q = Fraction(_near_exponent(text, exact, where))
     except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"row {rownum}, column {column!r}: bad number {text!r}") from exc
+        raise ParseError(f"{where}: bad number {text!r}") from exc
     if exact:
         return q
     try:
@@ -144,10 +151,30 @@ def _cell(text: str, exact: bool, rownum: int, column: str) -> Numeric:
     except OverflowError:
         value = math.inf
     if math.isinf(value) or (q > 0 and not value):
-        raise ValueSpreadError(
-            f"row {rownum}, column {column!r}: {text!r} is outside the double range"
-        )
+        raise ValueSpreadError(f"{where}: {text!r} is outside the double range")
     return value
+
+
+def _near_exponent(text: str, exact: bool, where: str) -> str:
+    """``text``, with a float cell's far-out decimal exponent brought nearer.
+
+    ``Fraction`` builds 10**exponent. An exact cell with an exponent beyond
+    ``_MAX_EXPONENT`` is a ``ParseError``. In a float cell, an exponent beyond
+    the literal's length plus 400 puts a nonzero value above 1e400 or below
+    1e-400, so the same mantissa with that exponent at the bound gives the
+    same double, or the same error.
+    """
+    m = _EXPONENT.fullmatch(text)
+    if m is None:
+        return text
+    exponent = int(m[2])
+    bound = _MAX_EXPONENT if exact else len(text) + 400
+    if abs(exponent) <= bound:
+        return text
+    if exact:
+        Fraction(f"{m[1]}e0")  # a malformed literal stays a bad number
+        raise ParseError(f"{where}: {text!r} has an exponent beyond {_MAX_EXPONENT}")
+    return f"{m[1]}e{bound if exponent > 0 else -bound}"
 
 
 def write_csv(d: Dataset, destination: Union[str, Path, None] = None) -> str:
@@ -195,7 +222,10 @@ def _num(v: Any) -> Any:
     """JSON form of a score: 12-decimal rounding, 'inf' for the symbol."""
     if v is UNBOUNDED:
         return "inf"
-    r = round(float(v), 12)
+    try:
+        r = round(float(v), 12)
+    except OverflowError:
+        raise ValueSpreadError("a reported value is outside the double range") from None
     i = int(r)
     return i if i == r else r
 

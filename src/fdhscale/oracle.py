@@ -295,17 +295,19 @@ def verify_dataset(
 ) -> list[CheckResult]:
     """Run the full cross-check battery on one dataset, in exact arithmetic.
 
-    Every fast-path result is recomputed the slow way and compared with
-    zero tolerance. Returns one result per named check.
+    The fast side is what a report prints: one :func:`classify_all` (scores,
+    scale-size flags, ratios and classes) plus each unit's response function.
+    Every value is recomputed the slow way and compared with zero tolerance.
+    Returns one result per named check.
     """
-    from . import efficiency as eff
     from . import response as resp
     from . import rts as rts_mod
-    from . import scale as scale_mod
 
     d = d.as_exact()
     results: list[CheckResult] = []
     efficient = [o for o in range(d.n) if find_dominating(d, Delta.VRS, o) is None]
+    items = rts_mod.classify_all(d, tol)
+    reports = [o for o in efficient if isinstance(items[o], rts_mod.RtsReport)]
 
     def run(name: str, failures: list[str], count: int) -> None:
         detail = failures[0] if failures else f"{count} comparisons"
@@ -315,15 +317,16 @@ def verify_dataset(
     fails: list[str] = []
     count = 0
     for o in range(d.n):
+        sc = items[o].scores
         for reg in Delta:
             count += 2
-            fast_t = eff.theta(d, reg, o).value
+            fast_t = sc.theta[reg].value
             slow_t = oracle_theta(d, reg, o)
             if fast_t != slow_t:
                 fails.append(
                     f"theta[{reg.value}] of {d.names[o]}: {fast_t!r} != {slow_t!r}"
                 )
-            fast_p = eff.phi(d, reg, o).value
+            fast_p = sc.phi[reg].value
             slow_p = oracle_phi(d, reg, o)
             if fast_p != slow_p:
                 fails.append(
@@ -336,7 +339,7 @@ def verify_dataset(
     count = 0
     for o in range(d.n):
         xo, yo = d.unit(o)
-        sc = eff.compute_scores(d, o)
+        sc = items[o].scores
         t = {reg: sc.theta[reg].value for reg in Delta}
         p = {reg: sc.phi[reg].value for reg in Delta}
         count += 1
@@ -375,7 +378,7 @@ def verify_dataset(
     # most productive scale size agrees with the enumerated score
     fails = []
     for o in range(d.n):
-        flag = eff.is_mpss(d, o, tol)
+        flag = items[o].mpss
         exact_flag = oracle_theta(d, Delta.CRS, o) == 1
         if flag != exact_flag:
             fails.append(f"scale-size flag mismatch at {d.names[o]}")
@@ -414,16 +417,20 @@ def verify_dataset(
         o: (oracle_sigma_plus(d, o, cfg), oracle_sigma_minus(d, o, cfg))
         for o in efficient
     }
-    fails = []
-    for o in efficient:
-        fast = scale_mod.sigma_plus(d, o, tol).value
+    fails = [
+        f"{d.names[o]} is efficient but the fast path marks it dominated"
+        for o in efficient
+        if o not in reports
+    ]
+    for o in reports:
+        fast = items[o].sigma.sigma_plus
         slow = swept[o][0]
         if fast != slow:
             fails.append(f"sigma_plus of {d.names[o]}: {fast!r} != {slow!r}")
     run("max-incremental-ratio-matches-sweep", fails, len(efficient))
     fails = []
-    for o in efficient:
-        fast = scale_mod.sigma_minus(d, o, tol).value
+    for o in reports:
+        fast = items[o].sigma.sigma_minus
         slow = swept[o][1]
         if fast != slow:
             fails.append(f"sigma_minus of {d.names[o]}: {fast!r} != {slow!r}")
@@ -431,8 +438,8 @@ def verify_dataset(
 
     # one-sided classes vs scaling-system feasibility
     fails = []
-    for o in efficient:
-        right = rts_mod.right_rts(d, o, tol)
+    for o in reports:
+        right = items[o].one_sided.right
         if oracle_system_feasible(d, o, ScalingSystem.RIGHT_STRICT):
             expect = rts_mod.RightRts.IRS
         elif not oracle_system_feasible(d, o, ScalingSystem.RIGHT_WEAK):
@@ -441,7 +448,7 @@ def verify_dataset(
             expect = rts_mod.RightRts.CRS
         if right is not expect:
             fails.append(f"right class of {d.names[o]}: {right} vs {expect}")
-        left = rts_mod.left_rts(d, o, tol)
+        left = items[o].one_sided.left
         if oracle_system_feasible(d, o, ScalingSystem.LEFT_STRICT):
             expect_l = rts_mod.LeftRts.DRS
         elif not oracle_system_feasible(d, o, ScalingSystem.LEFT_WEAK):
@@ -454,9 +461,9 @@ def verify_dataset(
 
     # one-sided classes vs ratio thresholds
     fails = []
-    for o in efficient:
+    for o in reports:
         sp, sm = swept[o]
-        right = rts_mod.right_rts(d, o, tol)
+        right = items[o].one_sided.right
         expect = (
             rts_mod.RightRts.IRS
             if sp > 1
@@ -466,7 +473,7 @@ def verify_dataset(
         )
         if right is not expect:
             fails.append(f"right class of {d.names[o]} off ratio {sp!r}")
-        left = rts_mod.left_rts(d, o, tol)
+        left = items[o].one_sided.left
         expect_l = (
             rts_mod.LeftRts.IRS
             if sm is UNBOUNDED or sm > 1
@@ -480,7 +487,7 @@ def verify_dataset(
 
     # global class implications and report self-consistency
     fails = []
-    for item in rts_mod.classify_all(d, tol):
+    for item in items:
         if isinstance(item, rts_mod.InefficientUnit):
             continue
         o = item.reference

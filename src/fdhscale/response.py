@@ -13,6 +13,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 
 from .errors import InefficientUnitError, OutOfDomainError
 from .model import Dataset, Numeric, ratio_table
@@ -44,8 +45,7 @@ class ResponseFunction:
             raise OutOfDomainError(
                 f"alpha={alpha!r} below domain start {self.alpha_min!r}"
             )
-        thresholds = [t for t, _ in self.steps]
-        return self.steps[bisect_right(thresholds, alpha) - 1][1]
+        return self.steps[bisect_right(self.steps, alpha, key=itemgetter(0)) - 1][1]
 
     def __call__(self, alpha: Numeric) -> Numeric:
         return self.evaluate(alpha)

@@ -1,11 +1,12 @@
 """One-sided and global returns-to-scale classification.
 
 Right and left classes describe the frontier immediately above and below
-the observed scale of an efficient unit; they follow from existence tests
-on the ratio table. The global class compares the constant-returns score
-with the two one-sided-regime scores. ``check_consistency`` re-derives the
-one-sided classes from the scale ratios and checks the implications the
-global class imposes, so a report can be audited without recomputing it.
+the observed scale of an efficient unit; each is read off its scale ratio
+by one rule: above 1 + eps, below 1 - eps, or in between. The global class
+compares the constant-returns score with the two one-sided-regime scores.
+``check_consistency`` applies the same rule to a report's stored ratios
+and checks the implications the global class imposes, so a report can be
+audited without recomputing it.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from typing import Mapping, Union
 
 from .efficiency import EfficiencyScores, Score, _at_mpss, _scores, _theta
 from .errors import UnclassifiableError
-from .model import Dataset, Delta, Numeric, RatioTable, Tolerance, ratio_table
-from .scale import UNBOUNDED, ScaleRatios, _scale_ratios
+from .model import Dataset, Delta, Numeric, Tolerance, ratio_table
+from .scale import RatioValue, ScaleRatios, _scale_ratios, _sigma_minus, _sigma_plus
 from .technology import dominating_peer, efficient_table
 
 
@@ -58,24 +59,16 @@ _SUBJECT = "returns-to-scale classes"
 def right_rts(d: Dataset, o: int, tol: Tolerance = Tolerance()) -> RightRts:
     """Classify the frontier immediately above unit ``o``'s scale.
 
-    Increasing when some peer expands outputs faster than inputs, strictly;
-    decreasing when no peer expands outputs at least as fast as inputs.
+    Increasing when the maximum incremental ratio exceeds 1 + eps,
+    decreasing when it is below 1 - eps, constant in between.
     """
-    return _right_rts(efficient_table(d, o, _SUBJECT), tol)
+    return _right_class(_sigma_plus(efficient_table(d, o, _SUBJECT), tol).value, tol)
 
 
-def _right_rts(rt: RatioTable, tol: Tolerance) -> RightRts:
-    eps = tol.eps
-    strict = weak = False
-    for a, b in zip(rt.alpha, rt.beta):
-        if b > 1 + eps:
-            if a < b - eps:
-                strict = True
-            if a <= b + eps:
-                weak = True
-    if strict:
+def _right_class(sigma_plus: RatioValue, tol: Tolerance) -> RightRts:
+    if sigma_plus > 1 + tol.eps:
         return RightRts.IRS
-    if not weak:
+    if sigma_plus < 1 - tol.eps:
         return RightRts.DRS
     return RightRts.CRS
 
@@ -83,26 +76,18 @@ def _right_rts(rt: RatioTable, tol: Tolerance) -> RightRts:
 def left_rts(d: Dataset, o: int, tol: Tolerance = Tolerance()) -> LeftRts:
     """Classify the frontier immediately below unit ``o``'s scale.
 
-    Decreasing when some smaller peer keeps outputs above its input share,
-    strictly; increasing when every smaller peer loses outputs faster than
-    inputs.
+    Increasing when the minimum decremental ratio exceeds 1 + eps or is
+    unbounded (no smaller peer), decreasing when it is below 1 - eps,
+    constant in between.
     """
-    return _left_rts(efficient_table(d, o, _SUBJECT), tol)
+    return _left_class(_sigma_minus(efficient_table(d, o, _SUBJECT), tol).value, tol)
 
 
-def _left_rts(rt: RatioTable, tol: Tolerance) -> LeftRts:
-    eps = tol.eps
-    strict = weak = False
-    for a, b in zip(rt.alpha, rt.beta):
-        if a < 1 - eps:
-            if a < b - eps:
-                strict = True
-            if b >= a - eps:
-                weak = True
-    if strict:
-        return LeftRts.DRS
-    if not weak:
+def _left_class(sigma_minus: RatioValue, tol: Tolerance) -> LeftRts:
+    if sigma_minus > 1 + tol.eps:  # UNBOUNDED compares above every number
         return LeftRts.IRS
+    if sigma_minus < 1 - tol.eps:
+        return LeftRts.DRS
     return LeftRts.CRS
 
 
@@ -180,11 +165,14 @@ def classify_unit(
     w = dominating_peer(d, rt)
     if w is not None:
         return InefficientUnit(o, scores.theta[Delta.VRS].value, w, scores, mpss)
+    sigma = _scale_ratios(rt, tol)
     return RtsReport(
         reference=o,
-        one_sided=OneSidedRts(_right_rts(rt, tol), _left_rts(rt, tol)),
+        one_sided=OneSidedRts(
+            _right_class(sigma.sigma_plus, tol), _left_class(sigma.sigma_minus, tol)
+        ),
         grs=_grs(scores.theta, tol),
-        sigma=_scale_ratios(rt, tol),
+        sigma=sigma,
         mpss=mpss,
         scores=scores,
     )
@@ -212,24 +200,11 @@ def check_consistency(report: RtsReport, tol: Tolerance = Tolerance()) -> list[s
     left = report.one_sided.left
     out: list[str] = []
 
-    if sp > 1 + eps:
-        expect_right = RightRts.IRS
-    elif sp < 1 - eps:
-        expect_right = RightRts.DRS
-    else:
-        expect_right = RightRts.CRS
-    if right is not expect_right:
+    if right is not _right_class(sp, tol):
         out.append(
             f"right class {right.value} disagrees with incremental ratio {sp!r}"
         )
-
-    if sm is UNBOUNDED or sm > 1 + eps:
-        expect_left = LeftRts.IRS
-    elif sm < 1 - eps:
-        expect_left = LeftRts.DRS
-    else:
-        expect_left = LeftRts.CRS
-    if left is not expect_left:
+    if left is not _left_class(sm, tol):
         out.append(
             f"left class {left.value} disagrees with decremental ratio {sm!r}"
         )

@@ -1,4 +1,4 @@
-"""Membership, interior membership, and dominance efficiency.
+"""Membership and dominance efficiency.
 
 A point belongs to the technology when some observed unit, scaled by a
 factor admitted by the regime, fits under the point's inputs and over its
@@ -60,22 +60,6 @@ def member(d: Dataset, delta: Delta, p: Point) -> bool:
         if rhi is not None and hi > rhi:
             hi = rhi
         if lo <= hi:
-            return True
-    return False
-
-
-def interior_member(d: Dataset, p: Point) -> bool:
-    """Whether ``p`` lies in the interior of the variable-returns technology.
-
-    Holds exactly when some unit strictly dominates the point in every
-    coordinate and the point's outputs are strictly positive.
-    """
-    _check_point(d, p)
-    if any(v <= 0 for v in p.y):
-        return False
-    for j in range(d.n):
-        xj, yj = d.inputs[j], d.outputs[j]
-        if all(a < b for a, b in zip(xj, p.x)) and all(a > b for a, b in zip(yj, p.y)):
             return True
     return False
 

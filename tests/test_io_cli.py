@@ -2,6 +2,7 @@ import json
 import shutil
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -169,6 +170,12 @@ class TestDocuments:
         assert rec["grs"] is None and rec["sigma_plus"] is None
         assert rec["witnesses"]["dominating"] == "B"
         assert rec["theta"]["vrs"] == 0.75
+
+    def test_exact_values_beyond_double_range_are_value_spread(self):
+        big, small = F(10**200), F(1, 10**200)
+        d = f.validate_dataset(["A", "B"], [[small], [big]], [[big], [small]])
+        with pytest.raises(f.ValueSpreadError):
+            f.build_report_document(d)
 
     def test_classification_document_is_compact(self, stair_float):
         doc = f.build_classification_document(stair_float)
@@ -467,6 +474,7 @@ class TestInputDefects:
             ("A,1e-150,1e150\nB,1e150,1e-150\n", "column 'in_x'"),
             ("A,1e-200,1e200\nB,1e200,1e-200\n", "column 'in_x'"),
             ("A,1,2\nB,3,1e400\n", "row 3, column 'out_y'"),
+            ("A,1,2\nB,3,-1e3000000\n", "row 3, column 'out_y'"),
         ],
     )
     def test_values_outside_double_range(self, capsys, tmp_path, command, rows, where):
@@ -476,7 +484,7 @@ class TestInputDefects:
         assert err.startswith(f"error [VALUE_SPREAD]: {where}")
 
     @pytest.mark.parametrize("argv", [("report",), ("ratios", "--dmu", "A")])
-    @pytest.mark.parametrize("cell", ["1e-400", "2e-324"])
+    @pytest.mark.parametrize("cell", ["1e-400", "2e-324", "1e3000000", "1e-3000000"])
     def test_underflow_is_value_spread(self, capsys, tmp_path, argv, cell):
         text = f"dmu,in_x,out_y\nA,1,2\nB,3,{cell}\n"
         code, out, err = self.run(capsys, tmp_path, text, *argv)
@@ -488,13 +496,38 @@ class TestInputDefects:
 
     @pytest.mark.parametrize("argv", [("report",), ("ratios", "--dmu", "A")])
     @pytest.mark.parametrize(
-        "cell,entry", [("0", "0.0"), ("-0", "0.0"), ("-1", "-1.0"), ("-1e-400", "-0.0")]
+        "cell,entry",
+        [
+            ("0", "0.0"),
+            ("-0", "0.0"),
+            ("-1", "-1.0"),
+            ("-1e-400", "-0.0"),
+            ("0e3000000", "0.0"),
+            ("-1e-3000000", "-0.0"),
+        ],
     )
     def test_nonpositive_stays_nonpositive(self, capsys, tmp_path, argv, cell, entry):
         text = f"dmu,in_x,out_y\nA,1,2\nB,3,{cell}\n"
         code, out, err = self.run(capsys, tmp_path, text, *argv)
         assert (code, out) == (2, "")
         assert err == f"error [NONPOSITIVE_VALUE]: unit 'B' has non-positive entry {entry}\n"
+
+    @pytest.mark.parametrize(
+        "argv,error",
+        [
+            (("report",), "VALUE_SPREAD"),
+            (("verify", "--trials", "0", "--grid-steps", "100"), "PARSE_ERROR"),
+        ],
+    )
+    def test_huge_exponent_is_refused_quickly(self, capsys, tmp_path, argv, error):
+        # Fraction would build 10**999999999 before deciding anything
+        text = "dmu,in_x,out_y\nA,1,2\nB,3,1e999999999\n"
+        start = time.process_time()
+        code, out, err = self.run(capsys, tmp_path, text, *argv)
+        assert time.process_time() - start < 0.5
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+        assert err.startswith(f"error [{error}]: row 3, column 'out_y': '1e999999999' ")
 
     def test_invalid_utf8(self, capsys, tmp_path):
         path = tmp_path / "data.csv"

@@ -5,7 +5,7 @@ import pytest
 
 import fdhscale as f
 from fdhscale import Delta, OracleConfig, ScalingSystem, UNBOUNDED
-from fdhscale import efficiency, response, scale
+from fdhscale import efficiency, response, rts, scale
 
 from conftest import make_staircase, with_dominated
 
@@ -183,17 +183,19 @@ def _nudge_score(sc):
 class TestPlantedFaults:
     """Each fast-path quantity verify compares, made slightly wrong, must fail its check.
 
-    This guards the oracle side of every comparison: a check that compared
-    a value with itself would keep passing here.
+    The faults sit in the closed forms that ``classify_unit`` calls, so they
+    reach verify through the same values a report prints. This guards the
+    oracle side of every comparison: a check that compared a value with
+    itself would keep passing here.
     """
 
     @pytest.mark.parametrize(
         "module,attr,nudge,check",
         [
-            (scale, "sigma_plus", _nudge_sigma, "max-incremental-ratio-matches-sweep"),
-            (scale, "sigma_minus", _nudge_sigma, "min-decremental-ratio-matches-sweep"),
+            (scale, "_sigma_plus", _nudge_sigma, "max-incremental-ratio-matches-sweep"),
+            (scale, "_sigma_minus", _nudge_sigma, "min-decremental-ratio-matches-sweep"),
             (response, "build_response", _nudge_last_step, "response-curve-matches-sweep"),
-            (efficiency, "theta", _nudge_score, "radial-scores-match-enumeration"),
+            (efficiency, "_theta", _nudge_score, "radial-scores-match-enumeration"),
         ],
     )
     def test_check_fails_and_cli_exits_3(
@@ -208,6 +210,25 @@ class TestPlantedFaults:
         status = {line.split()[0]: line.split()[1] for line in lines}
         assert status[check] == "FAIL"
         assert status["overall"] == "FAIL" and code == 3
+
+
+    def test_efficient_unit_marked_dominated_fails_the_ratio_check(
+        self, capsys, monkeypatch, stair_csv
+    ):
+        right = rts.dominating_peer
+        monkeypatch.setattr(
+            rts, "dominating_peer", lambda d, rt: 0 if rt.reference == 3 else right(d, rt)
+        )
+        code = f.main(
+            ["verify", "--input", str(stair_csv), "--trials", "0", "--grid-steps", "100"]
+        )
+        lines = capsys.readouterr().out.splitlines()
+        status = {line.split()[0]: line.split(maxsplit=2)[1:] for line in lines}
+        assert status["max-incremental-ratio-matches-sweep"] == [
+            "FAIL",
+            "D is efficient but the fast path marks it dominated",
+        ]
+        assert status["overall"] == ["FAIL"] and code == 3
 
 
 class TestConfig:

@@ -11,7 +11,7 @@ import contextlib
 import hashlib
 import io
 import random
-from fractions import Fraction as F
+from fractions import _RATIONAL_FORMAT, Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -227,16 +227,44 @@ def test_every_unit_classifies_and_reports_are_consistent(d):
             assert item.witness != item.reference
 
 
+@st.composite
+def ray_tie_datasets(draw):
+    """One input from {0.5, 1, 1.5, 2}; each output is the input times 0.5, 1
+    or 2, off that ray by up to 3e-8 relative, so many scale ratios land a
+    few eps from 1, where eps decides the one-sided class."""
+    n, s = draw(st.integers(1, 8)), draw(st.integers(1, 2))
+    inputs, outputs = [], []
+    for _ in range(n):
+        x = draw(st.sampled_from([0.5, 1.0, 1.5, 2.0]))
+        inputs.append([x])
+        ratios = [draw(st.sampled_from([0.5, 1.0, 2.0])) for _ in range(s)]
+        outputs.append([x * r * (1 + draw(st.floats(-3e-8, 3e-8))) for r in ratios])
+    return f.validate_dataset([f"U{i + 1}" for i in range(n)], inputs, outputs)
+
+
+@given(ray_tie_datasets())
+@settings(max_examples=300, deadline=None)
+def test_one_sided_classes_follow_the_reported_ratios_near_one(d):
+    for item in f.classify_all(d):
+        if isinstance(item, RtsReport):
+            bad = f.check_consistency(item)
+            assert not [m for m in bad if m.startswith(("right class", "left class"))]
+
+
 # CSV cells: float reprs (with nan, inf, -0.0 and subnormals), fraction
 # literals (some over zero), nan/inf spellings, underscores and Unicode
 # digits in valid and invalid places, values beyond double range either
-# way, cells too long for the short-cell fast path, and arbitrary text.
+# way (some with exponents too far out to build 10**exponent quickly), cells
+# too long for the short-cell fast path, and arbitrary text.
 SPELLINGS = [
     "nan", "-NaN", "inf", "+Infinity", "-inf", "iNfInItY", "1e400", "-1e400",
     "1e-400", "-1e-400", "2e-324", "3e-324", "5e-324", "1.8e308",
     "1.7976931348623157e308", ".5", "5.", "+3", "-0", "+0.0", "00012", "1_000",
     "1__0", "_1", "1_", "1e1_0", "0x10", "13/4", "1 / 2", "1/0", "١٢٣",
     "１２.５", "٣e٢", "", " 7 ", "0." + "1" * 700, "0." + "1" * 5000, "1" * 5000,
+    "1e300000", "-1e300000", "1e-300000", "-1e-300000", "0e300000", "-0.0e-300000",
+    "1" * 700 + "e300000", "0." + "0" * 700 + "1e-300000", "0E1000001", "1e-1000001",
+    "1/2e9999999", "1 e9999999", "1" * 5000 + "e9999999",
 ]
 cells = st.one_of(
     st.floats().map(repr),
@@ -272,7 +300,18 @@ def _fraction_cell(text):
 
 
 def _exact_cell(text):
+    """``Fraction(text)``, refusing a decimal exponent beyond 10**6 as documented.
+
+    ``Fraction``'s own grammar finds the exponent of a well-formed literal;
+    its checks of the digits before the exponent come first.
+    """
     try:
+        m = _RATIONAL_FORMAT.match(text)
+        if m and m["exp"] and abs(int(m["exp"])) > 10**6:
+            int(m["num"] or "0"), int(m["decimal"] or "0")
+            raise ParseError(
+                f"row 2, column 'in_x': {text!r} has an exponent beyond 1000000"
+            )
         return F(text)
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"row 2, column 'in_x': bad number {text!r}")

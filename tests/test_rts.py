@@ -74,6 +74,29 @@ class TestOneSided:
         assert f.right_rts(d, 0, Tolerance(1e-4)) is RightRts.DRS
 
 
+    @pytest.mark.parametrize(
+        "p_out,q_out,right,left",
+        [
+            # sigma_plus = 1.0004 inside the band 1 +- 5e-4, sigma_minus = 1.0008 above
+            (3.0008, 0.4996, RightRts.CRS, LeftRts.IRS),
+            # sigma_plus = 1.0008 above the band, sigma_minus = 1.0004 inside
+            (3.0016, 0.4998, RightRts.IRS, LeftRts.CRS),
+        ],
+    )
+    def test_classes_follow_the_printed_ratios_near_one(self, p_out, q_out, right, left):
+        d = f.validate_dataset(
+            ["o", "p", "q"], [[1.0], [3.0], [0.5]], [[1.0], [p_out], [q_out]]
+        )
+        tol = Tolerance(5e-4)
+        item = f.classify_unit(d, 0, tol)
+        assert item.one_sided == OneSidedRts(right, left)
+        assert f.check_consistency(item, tol) == []
+        assert f.right_rts(d, 0, tol) is right
+        assert f.left_rts(d, 0, tol) is left
+        rec = f.build_report_document(d, tol)["units"][0]
+        assert (rec["right_rts"], rec["left_rts"]) == (right.value, left.value)
+
+
 class TestGlobal:
     def test_staircase_global_classes(self, stair):
         got = [f.grs(stair, o) for o in range(stair.n)]

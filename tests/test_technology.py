@@ -69,29 +69,6 @@ class TestMembership:
             assert not (nirs or ndrs) or crs
 
 
-class TestInterior:
-    def test_strictly_dominated_point_is_interior(self, stair):
-        assert f.interior_member(stair, Point((4,), (3.9,)))
-
-    def test_observed_point_is_not_interior(self, stair):
-        assert not f.interior_member(stair, Point((3,), (4,)))
-
-    def test_boundary_of_disposal_region_is_not_interior(self, stair):
-        assert not f.interior_member(stair, Point((4,), (4,)))
-        assert not f.interior_member(stair, Point((3,), (3,)))
-
-    def test_zero_output_is_never_interior(self, stair):
-        assert not f.interior_member(stair, Point((10,), (0,)))
-
-    def test_interior_implies_member(self, stair):
-        pts = [
-            Point((F(k, 2),), (F(j, 2),)) for k in range(1, 17) for j in range(1, 29)
-        ]
-        for p in pts:
-            if f.interior_member(stair, p):
-                assert f.member(stair, Delta.VRS, p)
-
-
 class TestEfficiency:
     def test_staircase_units_are_all_efficient(self, stair):
         for o in range(stair.n):
