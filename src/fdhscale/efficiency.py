@@ -5,7 +5,7 @@ solver: with one active unit the inner problem is one-dimensional in the
 scaling factor, whose optimum sits at an interval endpoint. The oracle
 module re-derives every score by brute-force interval enumeration, and the
 test suite holds the two paths equal. docs/derivations.md spells out the
-algebra behind each branch.
+algebra behind each candidate.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import AnalysisError
 from .model import (
     Dataset,
     Delta,
@@ -43,28 +42,16 @@ def theta(d: Dataset, delta: Delta, o: int) -> Score:
 
 
 def _theta(rt: RatioTable, delta: Delta) -> Score:
-    best: Score | None = None
-    for j, (a, b) in enumerate(zip(rt.alpha, rt.beta)):
-        if delta is Delta.VRS:
-            if b < 1:
-                continue
-            cand, scale = a, 1
-        elif delta is Delta.CRS:
-            cand, scale = a / b, 1 / b
-        elif delta is Delta.NIRS:
-            if b < 1:
-                continue
-            cand, scale = a / b, 1 / b
-        else:  # NDRS
-            if b >= 1:
-                cand, scale = a, 1
-            else:
-                cand, scale = a / b, 1 / b
-        if best is None or cand < best.value:
-            best = Score(cand, j, scale)
-    if best is None:  # pragma: no cover - the reference row always qualifies
-        raise AnalysisError("no feasible contraction found")
-    return best
+    # Per peer, the smallest admitted scaling t = max(lo, 1/beta_j), which must
+    # not pass hi; the reference row always qualifies, so the min has an item.
+    lo, hi = delta.bounds
+    value, j = min(
+        (a if lo == 1 and b >= 1 else a / b, j)
+        for j, (a, b) in enumerate(zip(rt.alpha, rt.beta))
+        if hi is None or b >= 1
+    )
+    b = rt.beta[j]
+    return Score(value, j, 1 if lo == 1 and b >= 1 else 1 / b)
 
 
 def phi(d: Dataset, delta: Delta, o: int) -> Score:
@@ -76,28 +63,16 @@ def phi(d: Dataset, delta: Delta, o: int) -> Score:
 
 
 def _phi(rt: RatioTable, delta: Delta) -> Score:
-    best: Score | None = None
-    for j, (a, b) in enumerate(zip(rt.alpha, rt.beta)):
-        if delta is Delta.VRS:
-            if a > 1:
-                continue
-            cand, scale = b, 1
-        elif delta is Delta.CRS:
-            cand, scale = b / a, 1 / a
-        elif delta is Delta.NIRS:
-            if a <= 1:
-                cand, scale = b, 1
-            else:
-                cand, scale = b / a, 1 / a
-        else:  # NDRS
-            if a > 1:
-                continue
-            cand, scale = b / a, 1 / a
-        if best is None or cand > best.value:
-            best = Score(cand, j, scale)
-    if best is None:  # pragma: no cover - the reference row always qualifies
-        raise AnalysisError("no feasible expansion found")
-    return best
+    # Per peer, the largest admitted scaling t = min(hi, 1/alpha_j), which must
+    # not fall below lo; -j makes the lowest index win ties, as in _theta.
+    lo, hi = delta.bounds
+    value, neg_j = max(
+        (b if hi == 1 and a <= 1 else b / a, -j)
+        for j, (a, b) in enumerate(zip(rt.alpha, rt.beta))
+        if lo != 1 or a <= 1
+    )
+    a = rt.alpha[-neg_j]
+    return Score(value, -neg_j, 1 if hi == 1 and a <= 1 else 1 / a)
 
 
 def radial(d: Dataset, delta: Delta, orientation: Orientation, o: int) -> Score:

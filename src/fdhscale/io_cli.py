@@ -55,9 +55,9 @@ def read_csv(source: Union[str, Path], exact: bool = False) -> Dataset:
         raise ParseError(
             f"cannot decode {source}: invalid UTF-8 at byte {exc.start}"
         ) from exc
-    # What reading in text mode as utf-8-sig gives: one byte-order mark
-    # dropped, and universal newlines.
-    text = text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
+    # Universal newlines, as reading in text mode gives; read_csv_text drops
+    # the one byte-order mark that utf-8-sig would.
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
     return read_csv_text(text, exact=exact)
 
 
@@ -447,16 +447,29 @@ def _build_parser() -> _Parser:
         choices=[orient.value for orient in Orientation],
         default=Orientation.INPUT.value,
     )
-    p.set_defaults(func=_cmd_efficiency)
+    p.set_defaults(
+        func=_cmd_document,
+        build=lambda d, a: build_efficiency_document(
+            d, Delta(a.technology), Orientation(a.orientation), Tolerance(a.eps)
+        ),
+    )
 
     p = sub.add_parser("classify", help="returns-to-scale classes for every unit")
     projectable(p)
-    p.set_defaults(func=_cmd_classify)
+    p.set_defaults(
+        func=_cmd_document,
+        build=lambda d, a: build_classification_document(
+            d, Tolerance(a.eps), a.project
+        ),
+    )
 
     p = sub.add_parser("ratios", help="scale ratios of one unit")
     projectable(p)
     p.add_argument("--dmu", required=True, help="unit name")
-    p.set_defaults(func=_cmd_ratios)
+    p.set_defaults(
+        func=_cmd_document,
+        build=lambda d, a: build_ratios_document(d, a.dmu, Tolerance(a.eps), a.project),
+    )
 
     p = sub.add_parser("response", help="step list of one unit's response function")
     common(p)
@@ -467,7 +480,10 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("report", help="full classification report")
     projectable(p)
-    p.set_defaults(func=_cmd_report)
+    p.set_defaults(
+        func=_cmd_document,
+        build=lambda d, a: build_report_document(d, Tolerance(a.eps), a.project),
+    )
 
     p = sub.add_parser("verify", help="cross-check fast paths against the sweeps")
     common(p, input_required=False)
@@ -486,33 +502,9 @@ def _emit(args: argparse.Namespace, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_efficiency(args: argparse.Namespace) -> int:
+def _cmd_document(args: argparse.Namespace) -> int:
     d = read_csv(args.input)
-    doc = build_efficiency_document(
-        d, Delta(args.technology), Orientation(args.orientation), Tolerance(args.eps)
-    )
-    _emit(args, write_report(doc))
-    return 0
-
-
-def _cmd_classify(args: argparse.Namespace) -> int:
-    d = read_csv(args.input)
-    doc = build_classification_document(d, Tolerance(args.eps), args.project)
-    _emit(args, write_report(doc))
-    return 0
-
-
-def _cmd_report(args: argparse.Namespace) -> int:
-    d = read_csv(args.input)
-    doc = build_report_document(d, Tolerance(args.eps), args.project)
-    _emit(args, write_report(doc))
-    return 0
-
-
-def _cmd_ratios(args: argparse.Namespace) -> int:
-    d = read_csv(args.input)
-    doc = build_ratios_document(d, args.dmu, Tolerance(args.eps), args.project)
-    _emit(args, write_report(doc))
+    _emit(args, write_report(args.build(d, args)))
     return 0
 
 

@@ -80,16 +80,14 @@ def sigma_plus(d: Dataset, o: int, tol: Tolerance = Tolerance()) -> SigmaResult:
 
 
 def _sigma_plus(rt: RatioTable, tol: Tolerance) -> SigmaResult:
-    best: Numeric | None = None
-    witness: int | None = None
-    for j, (a, b) in enumerate(zip(rt.alpha, rt.beta)):
-        if a > 1 + tol.eps:
-            cand = (b - 1) / (a - 1)
-            if best is None or cand > best:
-                best, witness = cand, j
-    if best is None or best <= 0:
+    pairs = enumerate(zip(rt.alpha, rt.beta))
+    best = max(
+        (((b - 1) / (a - 1), -j) for j, (a, b) in pairs if a > 1 + tol.eps),
+        default=None,
+    )
+    if best is None or best[0] <= 0:
         return SigmaResult(0, None)
-    return SigmaResult(best, witness)
+    return SigmaResult(best[0], -best[1])
 
 
 def sigma_minus(d: Dataset, o: int, tol: Tolerance = Tolerance()) -> SigmaResult:
@@ -103,16 +101,14 @@ def sigma_minus(d: Dataset, o: int, tol: Tolerance = Tolerance()) -> SigmaResult
 
 
 def _sigma_minus(rt: RatioTable, tol: Tolerance) -> SigmaResult:
-    best: Numeric | None = None
-    witness: int | None = None
-    for j, (a, b) in enumerate(zip(rt.alpha, rt.beta)):
-        if a < 1 - tol.eps:
-            cand = (b - 1) / (a - 1)
-            if best is None or cand < best:
-                best, witness = cand, j
+    pairs = enumerate(zip(rt.alpha, rt.beta))
+    best = min(
+        (((b - 1) / (a - 1), j) for j, (a, b) in pairs if a < 1 - tol.eps),
+        default=None,
+    )
     if best is None:
         return SigmaResult(UNBOUNDED, None)
-    return SigmaResult(best, witness)
+    return SigmaResult(*best)
 
 
 @dataclass(frozen=True)

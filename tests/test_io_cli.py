@@ -1,9 +1,11 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -455,6 +457,14 @@ class TestInputDefects:
         assert code == 0 and err == ""
         assert [rec["name"] for rec in json.loads(out)["units"]] == ["A", "B", "C", "D"]
 
+    def test_second_byte_order_mark_is_part_of_the_header(self, capsys, tmp_path):
+        text = "\ufeff\ufeffdmu,in_x,out_y\nA,1,2\nB,2,3\n"
+        code, out, err = self.run(capsys, tmp_path, text, "classify")
+        assert code == 2 and out == ""
+        assert err.startswith("error [PARSE_ERROR]: first column must be 'dmu'")
+        with pytest.raises(f.ParseError):
+            f.read_csv_text(text)
+
     def test_empty_unit_name(self, capsys, tmp_path):
         code, out, err = self.run(capsys, tmp_path, "dmu,in_x,out_y\n,1,2\n", "report")
         assert code == 2 and out == ""
@@ -557,10 +567,14 @@ class TestInputDefects:
 
 class TestEntryPoints:
     def test_module_invocation(self, stair_csv):
+        # the child imports the package under test, installed or not
+        src = str(Path(f.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "fdhscale", "response", "--input", str(stair_csv), "--dmu", "B"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert proc.stdout == RESPONSE_B

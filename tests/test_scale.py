@@ -93,6 +93,16 @@ class TestEdgeCases:
         with pytest.raises(f.InefficientUnitError):
             f.scale_ratios(d, 4)
 
+    def test_equal_ratios_go_to_the_lowest_index(self):
+        # P1 and P2 both give sigma_plus 2; Q1 and Q2 both give sigma_minus 3/2
+        d = f.validate_dataset(
+            ["O", "P1", "P2", "Q1", "Q2"],
+            [[1], [2], [3], [F(1, 2)], [F(3, 5)]],
+            [[1], [3], [5], [F(1, 4)], [F(2, 5)]],
+        )
+        assert f.sigma_plus(d, 0) == (2, d.index_of("P1"))
+        assert f.sigma_minus(d, 0) == (F(3, 2), d.index_of("Q1"))
+
     def test_tolerance_widens_the_exclusion_band(self):
         # a peer 1.00005 times bigger counts by default but not at eps=1e-4
         d = f.validate_dataset(["o", "p"], [[1.0], [1.00005]], [[1.0], [2.0]])
