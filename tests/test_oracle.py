@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 from fractions import Fraction as F
 
 import pytest
@@ -180,13 +181,74 @@ def _nudge_score(sc):
     return dataclasses.replace(sc, value=sc.value + TINY)
 
 
+def _replace_field(unit, field, change):
+    """Wrap ``rts.classify_all`` so one record of ``unit`` has ``field`` changed."""
+
+    def plant(monkeypatch):
+        right = rts.classify_all
+
+        def faulty(d, tol):
+            items = right(d, tol)
+            item = items[unit]
+            items[unit] = dataclasses.replace(item, **{field: change(getattr(item, field))})
+            return items
+
+        monkeypatch.setattr(rts, "classify_all", faulty)
+
+    return plant
+
+
+def _flip_right(sided):
+    return dataclasses.replace(sided, right=rts.RightRts.DRS)
+
+
+def _flip_left(sided):
+    return dataclasses.replace(sided, left=rts.LeftRts.DRS)
+
+
+def _theta_vrs_witness_at_d(scores):
+    theta = dict(scores.theta)
+    theta[Delta.VRS] = dataclasses.replace(theta[Delta.VRS], witness=3)
+    return dataclasses.replace(scores, theta=theta)
+
+
+# sha256 of verify stdout and the exit code under each planted fault, on the
+# staircase CSV at --grid-steps 100: the FAIL lines keep their bytes too.
+FAULT_DIGESTS = {
+    "_sigma_plus": (3, "bdc2f300091a96696114c16d97f892042e34adb88f234b6c3b30b2da9f8c1f19"),
+    "_sigma_minus": (3, "e192bb959faa1258793b3f0eb409712bef96569559de4fdba9f75c43c70fb431"),
+    "build_response": (3, "47eaea49d835a894be8f3a985545dc5cd9e3a57bb6445c32cf8777f200be79f8"),
+    "_theta": (3, "8489b7f2c346ed6ac5e445283c4adabae2eaf3f5c9813f31b3b1fc71c9b05570"),
+    "dominated-marker": (3, "4f5497da816d4e13942fd7a60ecd49cc0a23a070ed21c85807ad513e342bf754"),
+    "mpss": (3, "e3c56efc4722b6621793ace56bd1f45f12cee27bd35cf06be9bba75619de8c79"),
+    "right": (3, "2cb14a0a30a9e70e92f83f98675e4927f700c7b4234d7ceca434061a98d276e8"),
+    "left": (3, "e5cc4192e199623e62b707581998cfd32810d02d634099b9cf93e99da030d889"),
+    "grs": (3, "9adebb8d2dca00529542d550b4ccb61e5cd464f821c030448e7d025f638f91e8"),
+    "witness": (3, "3408b10e024dc089a38ece9a909fc3fe14238c01e69b597aeef077dfe176e3ba"),
+}
+
+
+def _verify_stair(capsys, stair_csv):
+    code = f.main(
+        ["verify", "--input", str(stair_csv), "--trials", "0", "--grid-steps", "100"]
+    )
+    out = capsys.readouterr().out
+    status = {line.split()[0]: line.split(maxsplit=2)[1:] for line in out.splitlines()}
+    return code, out, status
+
+
+def _digest(code, out):
+    return code, hashlib.sha256(out.encode("utf-8")).hexdigest()
+
+
 class TestPlantedFaults:
     """Each fast-path quantity verify compares, made slightly wrong, must fail its check.
 
     The faults sit in the closed forms that ``classify_unit`` calls, so they
     reach verify through the same values a report prints. This guards the
     oracle side of every comparison: a check that compared a value with
-    itself would keep passing here.
+    itself would keep passing here. Record faults change one field of one
+    ``classify_all`` record, for the checks no closed-form nudge reaches.
     """
 
     @pytest.mark.parametrize(
@@ -203,14 +265,10 @@ class TestPlantedFaults:
     ):
         right = getattr(module, attr)
         monkeypatch.setattr(module, attr, lambda *args: nudge(right(*args)))
-        code = f.main(
-            ["verify", "--input", str(stair_csv), "--trials", "0", "--grid-steps", "100"]
-        )
-        lines = capsys.readouterr().out.splitlines()
-        status = {line.split()[0]: line.split()[1] for line in lines}
-        assert status[check] == "FAIL"
-        assert status["overall"] == "FAIL" and code == 3
-
+        code, out, status = _verify_stair(capsys, stair_csv)
+        assert status[check][0] == "FAIL"
+        assert status["overall"] == ["FAIL"] and code == 3
+        assert _digest(code, out) == FAULT_DIGESTS[attr]
 
     def test_efficient_unit_marked_dominated_fails_the_ratio_check(
         self, capsys, monkeypatch, stair_csv
@@ -219,16 +277,58 @@ class TestPlantedFaults:
         monkeypatch.setattr(
             rts, "dominating_peer", lambda d, rt: 0 if rt.reference == 3 else right(d, rt)
         )
-        code = f.main(
-            ["verify", "--input", str(stair_csv), "--trials", "0", "--grid-steps", "100"]
-        )
-        lines = capsys.readouterr().out.splitlines()
-        status = {line.split()[0]: line.split(maxsplit=2)[1:] for line in lines}
+        code, out, status = _verify_stair(capsys, stair_csv)
         assert status["max-incremental-ratio-matches-sweep"] == [
             "FAIL",
             "D is efficient but the fast path marks it dominated",
         ]
         assert status["overall"] == ["FAIL"] and code == 3
+        assert _digest(code, out) == FAULT_DIGESTS["dominated-marker"]
+
+    @pytest.mark.parametrize(
+        "fault,plant,checks",
+        [
+            pytest.param(
+                "mpss",
+                _replace_field(0, "mpss", lambda flag: not flag),
+                ["scale-size-detection-matches-enumeration"],
+            ),
+            pytest.param(
+                "right",
+                _replace_field(0, "one_sided", _flip_right),
+                [
+                    "one-sided-classes-match-interval-feasibility",
+                    "one-sided-classes-match-ratio-thresholds",
+                ],
+            ),
+            pytest.param(
+                "left",
+                _replace_field(0, "one_sided", _flip_left),
+                [
+                    "one-sided-classes-match-interval-feasibility",
+                    "one-sided-classes-match-ratio-thresholds",
+                ],
+            ),
+            pytest.param(
+                "grs",
+                _replace_field(3, "grs", lambda _: rts.GrsClass.IRS),
+                ["global-class-implications"],
+            ),
+            pytest.param(
+                "witness",
+                _replace_field(0, "scores", _theta_vrs_witness_at_d),
+                ["radial-score-bounds-and-witnesses"],
+            ),
+        ],
+    )
+    def test_record_fault_fails_its_checks(
+        self, capsys, monkeypatch, stair_csv, fault, plant, checks
+    ):
+        plant(monkeypatch)
+        code, out, status = _verify_stair(capsys, stair_csv)
+        assert [name for name in checks if status[name][0] == "FAIL"] == checks
+        assert status["overall"] == ["FAIL"] and code == 3
+        assert _digest(code, out) == FAULT_DIGESTS[fault]
 
 
 class TestConfig:
