@@ -475,8 +475,10 @@ def _build_parser() -> _Parser:
     common(p)
     p.add_argument("--dmu", required=True, help="unit name")
     p.add_argument("--alpha-max", type=_float, default=None, help="cap listed thresholds")
-    p.add_argument("--emit", default=None, help="CSV output path")
-    p.set_defaults(func=_cmd_response)
+    p.set_defaults(
+        func=_cmd_document,
+        build=lambda d, a: response_csv(d, a.dmu, a.alpha_max),
+    )
 
     p = sub.add_parser("report", help="full classification report")
     projectable(p)
@@ -503,20 +505,10 @@ def _emit(args: argparse.Namespace, text: str) -> None:
 
 
 def _cmd_document(args: argparse.Namespace) -> int:
+    """Read the input and emit what the command builds: CSV text, or a JSON report."""
     d = read_csv(args.input)
-    _emit(args, write_report(args.build(d, args)))
-    return 0
-
-
-def _cmd_response(args: argparse.Namespace) -> int:
-    d = read_csv(args.input)
-    text = response_csv(d, args.dmu, args.alpha_max)
-    if args.emit is not None:
-        _deliver(text, args.emit)
-    elif args.out is not None:
-        _deliver(text, args.out)
-    else:
-        sys.stdout.write(text)
+    built = args.build(d, args)
+    _emit(args, built if isinstance(built, str) else write_report(built))
     return 0
 
 

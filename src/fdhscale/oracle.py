@@ -12,8 +12,8 @@ interval endpoints, never by sampling.
 Each sweep evaluates the curve by merging its ascending runs of points
 against the peers sorted by input ratio, O(n log n + G) for G points
 instead of a rescan of all n peers per point; the fast path's dict and
-bisection share no code with it. ``verify_dataset`` runs each ratio sweep
-once per efficient unit.
+bisection share no code with it. ``verify_dataset`` computes each oracle
+value once per unit before it runs its checks.
 
 Every function converts the dataset to ``fractions.Fraction`` first, so
 results are exact relative to the stored values.
@@ -28,8 +28,9 @@ from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Iterator
 
+from . import response, rts
 from .errors import InefficientUnitError, OutOfDomainError
-from .model import Dataset, Delta, Numeric, Tolerance, check_index, validate_dataset
+from .model import Dataset, Delta, Numeric, Tolerance, validate_dataset
 from .scale import UNBOUNDED, RatioValue
 from .technology import find_dominating
 
@@ -38,12 +39,11 @@ from .technology import find_dominating
 class OracleConfig:
     """Knobs for the sweep-based checks.
 
-    ``alpha_max`` caps sweep domains (default 10x the largest input ratio
-    of the reference); ``grid_steps`` points are spread across each sweep.
+    ``grid_steps`` points are spread across each sweep, whose domain ends at
+    10x the largest input ratio of the reference, and at least at 2.
     """
 
     grid_steps: int = 10_000
-    alpha_max: Numeric | None = None
 
     def __post_init__(self) -> None:
         if self.grid_steps < 100:
@@ -64,12 +64,6 @@ class ScalingSystem(Enum):
     LEFT_STRICT = "left-strict"
 
 
-def _rows(d: Dataset) -> tuple[list, list]:
-    xs = [[Fraction(v) for v in row] for row in d.inputs]
-    ys = [[Fraction(v) for v in row] for row in d.outputs]
-    return xs, ys
-
-
 def _require_efficient(d: Dataset, o: int) -> None:
     w = find_dominating(d, Delta.VRS, o)
     if w is not None:
@@ -80,13 +74,12 @@ def _require_efficient(d: Dataset, o: int) -> None:
 
 def oracle_theta(d: Dataset, delta: Delta, o: int) -> Fraction:
     """Smallest input contraction, by exact interval enumeration."""
-    check_index(d, o)
-    xs, ys = _rows(d)
-    xo, yo = xs[o], ys[o]
+    d = d.as_exact()
+    xo, yo = d.unit(o)
     rlo, rhi = delta.bounds
     best: Fraction | None = None
-    for j in range(d.n):
-        scale_floor = max(w / v for w, v in zip(yo, ys[j]))
+    for xj, yj in zip(d.inputs, d.outputs):
+        scale_floor = max(w / v for w, v in zip(yo, yj))
         lo = max(scale_floor, Fraction(rlo))
         candidates = [lo]
         if rhi is not None:
@@ -94,7 +87,7 @@ def oracle_theta(d: Dataset, delta: Delta, o: int) -> Fraction:
                 continue
             candidates.append(Fraction(rhi))
         for t in candidates:
-            val = max(t * v / w for v, w in zip(xs[j], xo))
+            val = max(t * v / w for v, w in zip(xj, xo))
             if best is None or val < best:
                 best = val
     assert best is not None  # the reference itself is always a candidate
@@ -103,19 +96,18 @@ def oracle_theta(d: Dataset, delta: Delta, o: int) -> Fraction:
 
 def oracle_phi(d: Dataset, delta: Delta, o: int) -> Fraction:
     """Largest output expansion, by exact interval enumeration."""
-    check_index(d, o)
-    xs, ys = _rows(d)
-    xo, yo = xs[o], ys[o]
+    d = d.as_exact()
+    xo, yo = d.unit(o)
     rlo, rhi = delta.bounds
     best: Fraction | None = None
-    for j in range(d.n):
-        scale_cap = min(w / v for w, v in zip(xo, xs[j]))
+    for xj, yj in zip(d.inputs, d.outputs):
+        scale_cap = min(w / v for w, v in zip(xo, xj))
         hi = scale_cap if rhi is None else min(scale_cap, Fraction(rhi))
         lo = Fraction(rlo)
         if hi < lo:
             continue
         for t in (hi, lo):
-            val = min(t * v / w for v, w in zip(ys[j], yo))
+            val = min(t * v / w for v, w in zip(yj, yo))
             if best is None or val > best:
                 best = val
     assert best is not None
@@ -123,27 +115,26 @@ def oracle_phi(d: Dataset, delta: Delta, o: int) -> Fraction:
 
 
 def _exact_pairs(d: Dataset, o: int) -> list[tuple[Fraction, Fraction]]:
-    xs, ys = _rows(d)
-    xo, yo = xs[o], ys[o]
+    d = d.as_exact()
+    xo, yo = d.unit(o)
     return [
         (
-            max(v / w for v, w in zip(xs[j], xo)),
-            min(v / w for v, w in zip(ys[j], yo)),
+            max(v / w for v, w in zip(xj, xo)),
+            min(v / w for v, w in zip(yj, yo)),
         )
-        for j in range(d.n)
+        for xj, yj in zip(d.inputs, d.outputs)
     ]
 
 
 def oracle_response_value(d: Dataset, o: int, alpha: Numeric) -> Fraction:
     """Largest feasible output share at input share ``alpha``, by fresh scan."""
-    check_index(d, o)
+    d = d.as_exact()
+    xo, yo = d.unit(o)
     alpha = Fraction(alpha)
-    xs, ys = _rows(d)
-    xo, yo = xs[o], ys[o]
     best: Fraction | None = None
-    for j in range(d.n):
-        if all(v <= alpha * w for v, w in zip(xs[j], xo)):
-            val = min(v / w for v, w in zip(ys[j], yo))
+    for xj, yj in zip(d.inputs, d.outputs):
+        if all(v <= alpha * w for v, w in zip(xj, xo)):
+            val = min(v / w for v, w in zip(yj, yo))
             if best is None or val > best:
                 best = val
     if best is None:
@@ -151,12 +142,8 @@ def oracle_response_value(d: Dataset, o: int, alpha: Numeric) -> Fraction:
     return best
 
 
-def _sweep_domain(
-    pairs: list[tuple[Fraction, Fraction]], cfg: OracleConfig
-) -> Fraction:
-    top = max(a for a, _ in pairs)
-    amax = Fraction(cfg.alpha_max) if cfg.alpha_max is not None else 10 * top
-    return max(amax, Fraction(2))
+def _sweep_domain(pairs: list[tuple[Fraction, Fraction]]) -> Fraction:
+    return max(10 * max(a for a, _ in pairs), Fraction(2))
 
 
 def _curve_runs(
@@ -194,7 +181,7 @@ def oracle_sigma_plus(
     """
     _require_efficient(d, o)
     pairs = _exact_pairs(d, o)
-    amax = _sweep_domain(pairs, cfg)
+    amax = _sweep_domain(pairs)
     above = sorted({a for a, _ in pairs if 1 < a <= amax})
     step = (amax - 1) / cfg.grid_steps
     curve = _curve_runs(
@@ -232,11 +219,8 @@ def oracle_sigma_minus(
     return min((v - 1) / (p - 1) for p, v in curve)
 
 
-def oracle_system_feasible(
-    d: Dataset, o: int, system: ScalingSystem, cfg: OracleConfig = OracleConfig()
-) -> bool:
+def oracle_system_feasible(d: Dataset, o: int, system: ScalingSystem) -> bool:
     """Decide a scaling-system question from exact interval endpoints."""
-    check_index(d, o)
     pairs = _exact_pairs(d, o)
     if system is ScalingSystem.RIGHT_STRICT:
         return any(max(a, 1) < b for a, b in pairs)
@@ -290,6 +274,111 @@ def merge_checks(batches: Iterable[Iterable[CheckResult]]) -> list[CheckResult]:
     return list(merged.values())
 
 
+def _class(kind: type[Enum], above: bool, below: bool) -> Enum:
+    """``kind``'s IRS where the frontier rises above 1, DRS below it, else CRS."""
+    return kind.IRS if above else kind.DRS if below else kind.CRS
+
+
+def _system_classes(d: Dataset, o: int) -> tuple[Enum, Enum]:
+    """Right and left classes from the scaling systems, with no eps.
+
+    A feasible strict system decides a side; an infeasible weak one decides
+    it the other way; a feasible weak system alone means constant returns.
+    The weak system is asked only when the strict one is infeasible.
+    """
+
+    def feasible(system: ScalingSystem) -> bool:
+        return oracle_system_feasible(d, o, system)
+
+    right_up = feasible(ScalingSystem.RIGHT_STRICT)
+    right_down = not right_up and not feasible(ScalingSystem.RIGHT_WEAK)
+    left_down = feasible(ScalingSystem.LEFT_STRICT)
+    left_up = not left_down and not feasible(ScalingSystem.LEFT_WEAK)
+    return (
+        _class(rts.RightRts, right_up, right_down),
+        _class(rts.LeftRts, left_up, left_down),
+    )
+
+
+def _score_failures(
+    d: Dataset, item: rts.RtsReport | rts.InefficientUnit
+) -> Iterator[str]:
+    """Bounds, regime nesting and witness feasibility of one unit's scores."""
+    o, sc = item.reference, item.scores
+    t = {reg: sc.theta[reg].value for reg in Delta}
+    p = {reg: sc.phi[reg].value for reg in Delta}
+    if not all(0 < t[reg] <= 1 and p[reg] >= 1 for reg in Delta):
+        yield f"score bounds violated at {d.names[o]}"
+    if not (
+        t[Delta.CRS] <= t[Delta.NIRS] <= t[Delta.VRS]
+        and t[Delta.CRS] <= t[Delta.NDRS] <= t[Delta.VRS]
+        and p[Delta.VRS] <= p[Delta.NIRS] <= p[Delta.CRS]
+        and p[Delta.VRS] <= p[Delta.NDRS] <= p[Delta.CRS]
+    ):
+        yield f"regime nesting violated at {d.names[o]}"
+    xo, yo = d.unit(o)
+    for reg in Delta:
+        rlo, rhi = reg.bounds
+        # the witness, scaled by f, uses at most shrink * inputs and makes at
+        # least grow * outputs: theta shrinks the inputs, phi grows the outputs
+        for score, shrink, grow in (
+            (sc.theta[reg], t[reg], 1),
+            (sc.phi[reg], 1, p[reg]),
+        ):
+            xj, yj = d.unit(score.witness)
+            f = score.delta
+            if not (
+                f >= rlo
+                and (rhi is None or f <= rhi)
+                and all(f * v <= shrink * w for v, w in zip(xj, xo))
+                and all(f * v >= grow * w for v, w in zip(yj, yo))
+            ):
+                yield f"witness infeasible for {d.names[o]} under {reg.value}"
+
+
+def _curve_failure(d: Dataset, o: int, cfg: OracleConfig) -> tuple[str | None, int]:
+    """The first disagreement of unit ``o``'s response steps with a fresh sweep.
+
+    Returns it, or ``None``, with the number of points compared up to it.
+    """
+    r = response.build_response(d, o)
+    thresholds = [t for t, _ in r.steps]
+    if thresholds != sorted(set(thresholds)) or [
+        v for _, v in r.steps
+    ] != sorted({v for _, v in r.steps}):
+        return f"non-canonical steps at {d.names[o]}", 0
+    pairs = _exact_pairs(d, o)
+    lo = thresholds[0]
+    step = (_sweep_domain(pairs) - lo) / cfg.grid_steps
+    curve = _curve_runs(
+        pairs,
+        thresholds,
+        ((u + v) / 2 for u, v in zip(thresholds, thresholds[1:])),
+        (lo + k * step for k in range(cfg.grid_steps + 1)),
+    )
+    count = 0
+    for alpha, want in curve:
+        count += 1
+        if r.evaluate(alpha) != want:
+            return f"curve mismatch at {d.names[o]}, alpha={alpha!r}", count
+    return None, count
+
+
+def _implication_failures(
+    d: Dataset, item: rts.RtsReport, tol: Tolerance
+) -> Iterator[str]:
+    """A report's first self-consistency violation, then the growth facts of G-IRS."""
+    name = d.names[item.reference]
+    for bad in rts.check_consistency(item, tol)[:1]:
+        yield f"{name}: {bad}"
+    if item.grs is rts.GrsClass.IRS:
+        pairs = _exact_pairs(d, item.reference)
+        if not any(a > 1 for a, _ in pairs):
+            yield f"{name}: globally increasing with no larger peer"
+        if any(b > 1 and not a > 1 for a, b in pairs):
+            yield f"{name}: output-rich peer not larger"
+
+
 def verify_dataset(
     d: Dataset, tol: Tolerance = Tolerance(), cfg: OracleConfig = OracleConfig()
 ) -> list[CheckResult]:
@@ -297,213 +386,120 @@ def verify_dataset(
 
     The fast side is what a report prints: one :func:`classify_all` (scores,
     scale-size flags, ratios and classes) plus each unit's response function.
-    Every value is recomputed the slow way and compared with zero tolerance.
-    Returns one result per named check.
+    Each oracle value is computed once per unit: the scores per regime, the
+    two ratio sweeps, the scaling systems. The checks then compare with zero
+    tolerance. Returns one result per named check.
     """
-    from . import response as resp
-    from . import rts as rts_mod
-
     d = d.as_exact()
-    results: list[CheckResult] = []
     efficient = [o for o in range(d.n) if find_dominating(d, Delta.VRS, o) is None]
-    items = rts_mod.classify_all(d, tol)
-    reports = [o for o in efficient if isinstance(items[o], rts_mod.RtsReport)]
+    items = rts.classify_all(d, tol)
+    reports = [o for o in efficient if isinstance(items[o], rts.RtsReport)]
+    theta = [{reg: oracle_theta(d, reg, o) for reg in Delta} for o in range(d.n)]
+    phi = [{reg: oracle_phi(d, reg, o) for reg in Delta} for o in range(d.n)]
+    swept = {
+        o: (oracle_sigma_plus(d, o, cfg), oracle_sigma_minus(d, o, cfg))
+        for o in efficient
+    }
+    results: list[CheckResult] = []
 
     def run(name: str, failures: list[str], count: int) -> None:
         detail = failures[0] if failures else f"{count} comparisons"
         results.append(CheckResult(name, not failures, detail))
 
-    # closed-form scores vs interval enumeration
-    fails: list[str] = []
-    count = 0
-    for o in range(d.n):
-        sc = items[o].scores
-        for reg in Delta:
-            count += 2
-            fast_t = sc.theta[reg].value
-            slow_t = oracle_theta(d, reg, o)
-            if fast_t != slow_t:
-                fails.append(
-                    f"theta[{reg.value}] of {d.names[o]}: {fast_t!r} != {slow_t!r}"
-                )
-            fast_p = sc.phi[reg].value
-            slow_p = oracle_phi(d, reg, o)
-            if fast_p != slow_p:
-                fails.append(
-                    f"phi[{reg.value}] of {d.names[o]}: {fast_p!r} != {slow_p!r}"
-                )
-    run("radial-scores-match-enumeration", fails, count)
+    run(
+        "radial-scores-match-enumeration",
+        [
+            f"{key}[{reg.value}] of {d.names[o]}: {fast!r} != {slow!r}"
+            for o, item in enumerate(items)
+            for reg in Delta
+            for key, fast, slow in (
+                ("theta", item.scores.theta[reg].value, theta[o][reg]),
+                ("phi", item.scores.phi[reg].value, phi[o][reg]),
+            )
+            if fast != slow
+        ],
+        2 * len(Delta) * d.n,
+    )
+    run(
+        "radial-score-bounds-and-witnesses",
+        [bad for item in items for bad in _score_failures(d, item)],
+        (1 + 2 * len(Delta)) * d.n,
+    )
+    run(
+        "scale-size-detection-matches-enumeration",
+        [
+            f"scale-size flag mismatch at {d.names[o]}"
+            for o, item in enumerate(items)
+            if item.mpss != (theta[o][Delta.CRS] == 1)
+        ],
+        d.n,
+    )
+    curves = [_curve_failure(d, o, cfg) for o in range(d.n)]
+    run(
+        "response-curve-matches-sweep",
+        [bad for bad, _ in curves if bad],
+        sum(count for _, count in curves),
+    )
 
-    # score bounds, regime nesting, witness feasibility
-    fails = []
-    count = 0
-    for o in range(d.n):
-        xo, yo = d.unit(o)
-        sc = items[o].scores
-        t = {reg: sc.theta[reg].value for reg in Delta}
-        p = {reg: sc.phi[reg].value for reg in Delta}
-        count += 1
-        if not all(0 < t[reg] <= 1 for reg in Delta) or not all(
-            p[reg] >= 1 for reg in Delta
-        ):
-            fails.append(f"score bounds violated at {d.names[o]}")
-        if not (
-            t[Delta.CRS] <= t[Delta.NIRS] <= t[Delta.VRS]
-            and t[Delta.CRS] <= t[Delta.NDRS] <= t[Delta.VRS]
-            and p[Delta.VRS] <= p[Delta.NIRS] <= p[Delta.CRS]
-            and p[Delta.VRS] <= p[Delta.NDRS] <= p[Delta.CRS]
-        ):
-            fails.append(f"regime nesting violated at {d.names[o]}")
-        for reg in Delta:
-            for score, oriented_in in ((sc.theta[reg], True), (sc.phi[reg], False)):
-                count += 1
-                xj, yj = d.unit(score.witness)
-                f = score.delta
-                rlo, rhi = reg.bounds
-                ok = f >= rlo and (rhi is None or f <= rhi)
-                if oriented_in:
-                    ok = ok and all(
-                        f * v <= score.value * w for v, w in zip(xj, xo)
-                    ) and all(f * v >= w for v, w in zip(yj, yo))
-                else:
-                    ok = ok and all(f * v <= w for v, w in zip(xj, xo)) and all(
-                        f * v >= score.value * w for v, w in zip(yj, yo)
-                    )
-                if not ok:
-                    fails.append(
-                        f"witness infeasible for {d.names[o]} under {reg.value}"
-                    )
-    run("radial-score-bounds-and-witnesses", fails, count)
-
-    # most productive scale size agrees with the enumerated score
-    fails = []
-    for o in range(d.n):
-        flag = items[o].mpss
-        exact_flag = oracle_theta(d, Delta.CRS, o) == 1
-        if flag != exact_flag:
-            fails.append(f"scale-size flag mismatch at {d.names[o]}")
-    run("scale-size-detection-matches-enumeration", fails, d.n)
-
-    # step function vs fresh sweep
-    fails = []
-    count = 0
-    for o in range(d.n):
-        r = resp.build_response(d, o)
-        thresholds = [t_ for t_, _ in r.steps]
-        if thresholds != sorted(set(thresholds)) or [
-            v for _, v in r.steps
-        ] != sorted({v for _, v in r.steps}):
-            fails.append(f"non-canonical steps at {d.names[o]}")
-            continue
-        pairs = _exact_pairs(d, o)
-        amax = _sweep_domain(pairs, cfg)
-        lo = thresholds[0]
-        step = (amax - lo) / cfg.grid_steps
-        curve = _curve_runs(
-            pairs,
-            thresholds,
-            ((u + v) / 2 for u, v in zip(thresholds, thresholds[1:])),
-            (lo + k * step for k in range(cfg.grid_steps + 1)),
-        )
-        for alpha, want in curve:
-            count += 1
-            if r.evaluate(alpha) != want:
-                fails.append(f"curve mismatch at {d.names[o]}, alpha={alpha!r}")
-                break
-    run("response-curve-matches-sweep", fails, count)
-
-    # scale ratios vs secant sweeps, one sweep per unit and side
-    swept = {
-        o: (oracle_sigma_plus(d, o, cfg), oracle_sigma_minus(d, o, cfg))
-        for o in efficient
-    }
-    fails = [
+    marked = [
         f"{d.names[o]} is efficient but the fast path marks it dominated"
         for o in efficient
         if o not in reports
     ]
-    for o in reports:
-        fast = items[o].sigma.sigma_plus
-        slow = swept[o][0]
-        if fast != slow:
-            fails.append(f"sigma_plus of {d.names[o]}: {fast!r} != {slow!r}")
-    run("max-incremental-ratio-matches-sweep", fails, len(efficient))
-    fails = []
-    for o in reports:
-        fast = items[o].sigma.sigma_minus
-        slow = swept[o][1]
-        if fast != slow:
-            fails.append(f"sigma_minus of {d.names[o]}: {fast!r} != {slow!r}")
-    run("min-decremental-ratio-matches-sweep", fails, len(efficient))
+    for side, check, key in (
+        (0, "max-incremental-ratio-matches-sweep", "sigma_plus"),
+        (1, "min-decremental-ratio-matches-sweep", "sigma_minus"),
+    ):
+        fails = [
+            f"{key} of {d.names[o]}: {fast!r} != {slow!r}"
+            for o in reports
+            for fast, slow in [(getattr(items[o].sigma, key), swept[o][side])]
+            if fast != slow
+        ]
+        # a unit the fast path marks dominated has no ratios: the first check says so
+        run(check, (marked if side == 0 else []) + fails, len(efficient))
 
-    # one-sided classes vs scaling-system feasibility
-    fails = []
-    for o in reports:
-        right = items[o].one_sided.right
-        if oracle_system_feasible(d, o, ScalingSystem.RIGHT_STRICT):
-            expect = rts_mod.RightRts.IRS
-        elif not oracle_system_feasible(d, o, ScalingSystem.RIGHT_WEAK):
-            expect = rts_mod.RightRts.DRS
-        else:
-            expect = rts_mod.RightRts.CRS
-        if right is not expect:
-            fails.append(f"right class of {d.names[o]}: {right} vs {expect}")
-        left = items[o].one_sided.left
-        if oracle_system_feasible(d, o, ScalingSystem.LEFT_STRICT):
-            expect_l = rts_mod.LeftRts.DRS
-        elif not oracle_system_feasible(d, o, ScalingSystem.LEFT_WEAK):
-            expect_l = rts_mod.LeftRts.IRS
-        else:
-            expect_l = rts_mod.LeftRts.CRS
-        if left is not expect_l:
-            fails.append(f"left class of {d.names[o]}: {left} vs {expect_l}")
-    run("one-sided-classes-match-interval-feasibility", fails, 2 * len(efficient))
-
-    # one-sided classes vs ratio thresholds
-    fails = []
-    for o in reports:
-        sp, sm = swept[o]
-        right = items[o].one_sided.right
-        expect = (
-            rts_mod.RightRts.IRS
-            if sp > 1
-            else rts_mod.RightRts.DRS
-            if sp < 1
-            else rts_mod.RightRts.CRS
+    # per unit and side: the fast class, the systems' class, the swept ratio
+    # and the class it points to
+    classes = [
+        (o, side, fast, by_system, ratio, _class(kind, ratio > 1, ratio < 1))
+        for o in reports
+        for side, kind, fast, by_system, ratio in zip(
+            ("right", "left"),
+            (rts.RightRts, rts.LeftRts),
+            (items[o].one_sided.right, items[o].one_sided.left),
+            _system_classes(d, o),
+            swept[o],
         )
-        if right is not expect:
-            fails.append(f"right class of {d.names[o]} off ratio {sp!r}")
-        left = items[o].one_sided.left
-        expect_l = (
-            rts_mod.LeftRts.IRS
-            if sm is UNBOUNDED or sm > 1
-            else rts_mod.LeftRts.DRS
-            if sm < 1
-            else rts_mod.LeftRts.CRS
-        )
-        if left is not expect_l:
-            fails.append(f"left class of {d.names[o]} off ratio {sm!r}")
-    run("one-sided-classes-match-ratio-thresholds", fails, 2 * len(efficient))
-
-    # global class implications and report self-consistency
-    fails = []
-    for item in items:
-        if isinstance(item, rts_mod.InefficientUnit):
-            continue
-        o = item.reference
-        bad = rts_mod.check_consistency(item, tol)
-        if bad:
-            fails.append(f"{d.names[o]}: {bad[0]}")
-        if item.grs is rts_mod.GrsClass.IRS:
-            pairs = _exact_pairs(d, o)
-            growth = {j for j, (a, _) in enumerate(pairs) if a > 1}
-            winners = {j for j, (_, b) in enumerate(pairs) if b > 1}
-            if not growth:
-                fails.append(f"{d.names[o]}: globally increasing with no larger peer")
-            if not winners <= growth:
-                fails.append(f"{d.names[o]}: output-rich peer not larger")
-    run("global-class-implications", fails, len(efficient))
-
+    ]
+    run(
+        "one-sided-classes-match-interval-feasibility",
+        [
+            f"{side} class of {d.names[o]}: {fast} vs {want}"
+            for o, side, fast, want, _, _ in classes
+            if fast is not want
+        ],
+        2 * len(efficient),
+    )
+    run(
+        "one-sided-classes-match-ratio-thresholds",
+        [
+            f"{side} class of {d.names[o]} off ratio {ratio!r}"
+            for o, side, fast, _, ratio, want in classes
+            if fast is not want
+        ],
+        2 * len(efficient),
+    )
+    run(
+        "global-class-implications",
+        [
+            bad
+            for item in items
+            if isinstance(item, rts.RtsReport)
+            for bad in _implication_failures(d, item, tol)
+        ],
+        len(efficient),
+    )
     return results
 
 

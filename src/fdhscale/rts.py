@@ -62,15 +62,8 @@ def right_rts(d: Dataset, o: int, tol: Tolerance = Tolerance()) -> RightRts:
     Increasing when the maximum incremental ratio exceeds 1 + eps,
     decreasing when it is below 1 - eps, constant in between.
     """
-    return _right_class(_sigma_plus(efficient_table(d, o, _SUBJECT), tol).value, tol)
-
-
-def _right_class(sigma_plus: RatioValue, tol: Tolerance) -> RightRts:
-    if sigma_plus > 1 + tol.eps:
-        return RightRts.IRS
-    if sigma_plus < 1 - tol.eps:
-        return RightRts.DRS
-    return RightRts.CRS
+    ratio = _sigma_plus(efficient_table(d, o, _SUBJECT), tol).value
+    return _side_class(RightRts, ratio, tol)
 
 
 def left_rts(d: Dataset, o: int, tol: Tolerance = Tolerance()) -> LeftRts:
@@ -80,15 +73,17 @@ def left_rts(d: Dataset, o: int, tol: Tolerance = Tolerance()) -> LeftRts:
     unbounded (no smaller peer), decreasing when it is below 1 - eps,
     constant in between.
     """
-    return _left_class(_sigma_minus(efficient_table(d, o, _SUBJECT), tol).value, tol)
+    ratio = _sigma_minus(efficient_table(d, o, _SUBJECT), tol).value
+    return _side_class(LeftRts, ratio, tol)
 
 
-def _left_class(sigma_minus: RatioValue, tol: Tolerance) -> LeftRts:
-    if sigma_minus > 1 + tol.eps:  # UNBOUNDED compares above every number
-        return LeftRts.IRS
-    if sigma_minus < 1 - tol.eps:
-        return LeftRts.DRS
-    return LeftRts.CRS
+def _side_class(kind: type[Enum], ratio: RatioValue, tol: Tolerance) -> Enum:
+    """A side's class of ``kind``: IRS above 1 + eps, DRS below 1 - eps, else CRS."""
+    if ratio > 1 + tol.eps:  # UNBOUNDED compares above every number
+        return kind.IRS
+    if ratio < 1 - tol.eps:
+        return kind.DRS
+    return kind.CRS
 
 
 def _close(a: Numeric, b: Numeric, eps: float) -> bool:
@@ -169,7 +164,8 @@ def classify_unit(
     return RtsReport(
         reference=o,
         one_sided=OneSidedRts(
-            _right_class(sigma.sigma_plus, tol), _left_class(sigma.sigma_minus, tol)
+            _side_class(RightRts, sigma.sigma_plus, tol),
+            _side_class(LeftRts, sigma.sigma_minus, tol),
         ),
         grs=_grs(scores.theta, tol),
         sigma=sigma,
@@ -200,11 +196,11 @@ def check_consistency(report: RtsReport, tol: Tolerance = Tolerance()) -> list[s
     left = report.one_sided.left
     out: list[str] = []
 
-    if right is not _right_class(sp, tol):
+    if right is not _side_class(RightRts, sp, tol):
         out.append(
             f"right class {right.value} disagrees with incremental ratio {sp!r}"
         )
-    if left is not _left_class(sm, tol):
+    if left is not _side_class(LeftRts, sm, tol):
         out.append(
             f"left class {left.value} disagrees with decremental ratio {sm!r}"
         )

@@ -327,10 +327,23 @@ class TestCli:
             str(stair_csv),
             "--dmu",
             "B",
+            "--out",
+            str(target),
+        )
+        assert code == 0 and out == ""
+        assert target.read_text(encoding="utf-8") == RESPONSE_B
+        # --emit was a second spelling of --out; it is gone
+        code, out, err = self.run(
+            capsys,
+            "response",
+            "--input",
+            str(stair_csv),
+            "--dmu",
+            "B",
             "--emit",
             str(target),
         )
-        assert code == 0 and target.read_text(encoding="utf-8") == RESPONSE_B
+        assert code == 1 and out == "" and "--emit" in err
 
     def test_response_alpha_max(self, capsys, stair_csv):
         code, out, _ = self.run(

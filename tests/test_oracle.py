@@ -145,6 +145,14 @@ class TestVerification:
             "global-class-implications",
         }
 
+    def test_constant_returns_on_a_ray_pass(self):
+        # on an exact ray the lower unit is Right-CRS and the upper Left-CRS,
+        # the classes that need the weak systems and a ratio of exactly 1
+        d = f.validate_dataset(["lo", "hi"], [[1], [2]], [[1], [2]])
+        assert rts.classify_unit(d, 0).one_sided.right is rts.RightRts.CRS
+        assert rts.classify_unit(d, 1).one_sided.left is rts.LeftRts.CRS
+        assert all(r.passed for r in f.verify_dataset(d, cfg=FAST_CFG))
+
     def test_dominated_data_passes(self):
         d = with_dominated("E", x=(4,), y=(4,))
         assert all(r.passed for r in f.verify_dataset(d, cfg=FAST_CFG))
@@ -181,8 +189,8 @@ def _nudge_score(sc):
     return dataclasses.replace(sc, value=sc.value + TINY)
 
 
-def _replace_field(unit, field, change):
-    """Wrap ``rts.classify_all`` so one record of ``unit`` has ``field`` changed."""
+def _replace_fields(unit, **changes):
+    """Wrap ``rts.classify_all`` to change the named fields of ``unit``'s record."""
 
     def plant(monkeypatch):
         right = rts.classify_all
@@ -190,7 +198,8 @@ def _replace_field(unit, field, change):
         def faulty(d, tol):
             items = right(d, tol)
             item = items[unit]
-            items[unit] = dataclasses.replace(item, **{field: change(getattr(item, field))})
+            new = {key: change(getattr(item, key)) for key, change in changes.items()}
+            items[unit] = dataclasses.replace(item, **new)
             return items
 
         monkeypatch.setattr(rts, "classify_all", faulty)
@@ -202,6 +211,10 @@ def _flip_right(sided):
     return dataclasses.replace(sided, right=rts.RightRts.DRS)
 
 
+def _right_irs(sided):
+    return dataclasses.replace(sided, right=rts.RightRts.IRS)
+
+
 def _flip_left(sided):
     return dataclasses.replace(sided, left=rts.LeftRts.DRS)
 
@@ -210,6 +223,14 @@ def _theta_vrs_witness_at_d(scores):
     theta = dict(scores.theta)
     theta[Delta.VRS] = dataclasses.replace(theta[Delta.VRS], witness=3)
     return dataclasses.replace(scores, theta=theta)
+
+
+def _phi_crs_witness_at_self(scores):
+    # unscaled, the unit itself meets its inputs but not phi_crs = 13/12 times
+    # its outputs, so only the score factor on the outputs makes this infeasible
+    phi = dict(scores.phi)
+    phi[Delta.CRS] = dataclasses.replace(phi[Delta.CRS], witness=0, delta=1)
+    return dataclasses.replace(scores, phi=phi)
 
 
 # sha256 of verify stdout and the exit code under each planted fault, on the
@@ -225,6 +246,9 @@ FAULT_DIGESTS = {
     "left": (3, "e5cc4192e199623e62b707581998cfd32810d02d634099b9cf93e99da030d889"),
     "grs": (3, "9adebb8d2dca00529542d550b4ccb61e5cd464f821c030448e7d025f638f91e8"),
     "witness": (3, "3408b10e024dc089a38ece9a909fc3fe14238c01e69b597aeef077dfe176e3ba"),
+    "_phi": (3, "e2df5cc06cc48e1856cf9dae66daa93dd28b222d725b98bc5bcbaaffc86ce139"),
+    "grs-growth": (3, "6a40a04cf49b2b235f309a1c920af0ffa3887250dbe387fd30dcd6e198a9b619"),
+    "phi-witness": (3, "158439a734b449941ca0d86eb18884369e1f21d5d5437803ad56f04ec504af07"),
 }
 
 
@@ -258,6 +282,7 @@ class TestPlantedFaults:
             (scale, "_sigma_minus", _nudge_sigma, "min-decremental-ratio-matches-sweep"),
             (response, "build_response", _nudge_last_step, "response-curve-matches-sweep"),
             (efficiency, "_theta", _nudge_score, "radial-scores-match-enumeration"),
+            (efficiency, "_phi", _nudge_score, "radial-scores-match-enumeration"),
         ],
     )
     def test_check_fails_and_cli_exits_3(
@@ -290,34 +315,58 @@ class TestPlantedFaults:
         [
             pytest.param(
                 "mpss",
-                _replace_field(0, "mpss", lambda flag: not flag),
+                _replace_fields(0, mpss=lambda flag: not flag),
                 ["scale-size-detection-matches-enumeration"],
+                id="mpss",
             ),
             pytest.param(
                 "right",
-                _replace_field(0, "one_sided", _flip_right),
+                _replace_fields(0, one_sided=_flip_right),
                 [
                     "one-sided-classes-match-interval-feasibility",
                     "one-sided-classes-match-ratio-thresholds",
                 ],
+                id="right",
             ),
             pytest.param(
                 "left",
-                _replace_field(0, "one_sided", _flip_left),
+                _replace_fields(0, one_sided=_flip_left),
                 [
                     "one-sided-classes-match-interval-feasibility",
                     "one-sided-classes-match-ratio-thresholds",
                 ],
+                id="left",
             ),
             pytest.param(
                 "grs",
-                _replace_field(3, "grs", lambda _: rts.GrsClass.IRS),
+                _replace_fields(3, grs=lambda _: rts.GrsClass.IRS),
                 ["global-class-implications"],
+                id="grs",
+            ),
+            pytest.param(
+                "grs-growth",
+                # consistent with its own ratio and classes, so only the growth
+                # facts of a globally increasing unit can catch it
+                _replace_fields(
+                    3,
+                    grs=lambda _: rts.GrsClass.IRS,
+                    one_sided=_right_irs,
+                    sigma=lambda sigma: dataclasses.replace(sigma, sigma_plus=F(2)),
+                ),
+                ["global-class-implications"],
+                id="grs-growth",
             ),
             pytest.param(
                 "witness",
-                _replace_field(0, "scores", _theta_vrs_witness_at_d),
+                _replace_fields(0, scores=_theta_vrs_witness_at_d),
                 ["radial-score-bounds-and-witnesses"],
+                id="witness",
+            ),
+            pytest.param(
+                "phi-witness",
+                _replace_fields(0, scores=_phi_crs_witness_at_self),
+                ["radial-score-bounds-and-witnesses"],
+                id="phi-witness",
             ),
         ],
     )
@@ -336,10 +385,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             OracleConfig(grid_steps=99)
         assert OracleConfig(grid_steps=100).grid_steps == 100
-
-    def test_alpha_max_extends_the_sweep(self, stair):
-        wide = OracleConfig(grid_steps=100, alpha_max=50)
-        assert f.oracle_sigma_plus(stair, 0, wide) == F(11, 10)
 
 
 def test_helper_fixture_alignment(stair):
