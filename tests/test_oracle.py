@@ -271,7 +271,7 @@ class TestPlantedFaults:
     The faults sit in the closed forms that ``classify_unit`` calls, so they
     reach verify through the same values a report prints. This guards the
     oracle side of every comparison: a check that compared a value with
-    itself would keep passing here. Record faults change one field of one
+    itself would keep passing here. Record faults change fields of one
     ``classify_all`` record, for the checks no closed-form nudge reaches.
     """
 
