@@ -185,6 +185,11 @@ def _nudge_last_step(r):
     return dataclasses.replace(r, steps=r.steps[:-1] + ((t, v + TINY),))
 
 
+def _drop_d_step_at_half(r):
+    # D's steps below 1 sit at 1/6, 1/2 and 5/6; the ratios stay exact
+    return r if r.reference != 3 else dataclasses.replace(r, steps=r.steps[:1] + r.steps[2:])
+
+
 def _nudge_score(sc):
     return dataclasses.replace(sc, value=sc.value + TINY)
 
@@ -249,6 +254,7 @@ FAULT_DIGESTS = {
     "_phi": (3, "e2df5cc06cc48e1856cf9dae66daa93dd28b222d725b98bc5bcbaaffc86ce139"),
     "grs-growth": (3, "6a40a04cf49b2b235f309a1c920af0ffa3887250dbe387fd30dcd6e198a9b619"),
     "phi-witness": (3, "158439a734b449941ca0d86eb18884369e1f21d5d5437803ad56f04ec504af07"),
+    "dropped-step": (3, "fef549052817729bea296111f294940e326451401f4a7f6779069c35b95e68a6"),
 }
 
 
@@ -309,6 +315,22 @@ class TestPlantedFaults:
         ]
         assert status["overall"] == ["FAIL"] and code == 3
         assert _digest(code, out) == FAULT_DIGESTS["dominated-marker"]
+
+    def test_dropped_step_fails_the_curve_and_leaves_the_ratios_exact(
+        self, capsys, monkeypatch, stair_csv
+    ):
+        # the ratio checks read their oracle values off the same walk as the
+        # curve check, so a wrong step list must not move them
+        right = response.build_response
+        monkeypatch.setattr(
+            response, "build_response", lambda d, o: _drop_d_step_at_half(right(d, o))
+        )
+        code, out, status = _verify_stair(capsys, stair_csv)
+        assert status["response-curve-matches-sweep"][0] == "FAIL"
+        assert status["max-incremental-ratio-matches-sweep"][0] == "PASS"
+        assert status["min-decremental-ratio-matches-sweep"][0] == "PASS"
+        assert status["overall"] == ["FAIL"] and code == 3
+        assert _digest(code, out) == FAULT_DIGESTS["dropped-step"]
 
     @pytest.mark.parametrize(
         "fault,plant,checks",
