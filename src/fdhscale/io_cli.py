@@ -489,7 +489,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="cross-check fast paths against the sweeps")
     common(p, input_required=False)
-    p.add_argument("--grid-steps", type=int, default=10_000, help="sweep density")
+    p.add_argument("--grid-steps", type=int, default=10_000, help="grid points per unit")
     p.add_argument("--seed", type=int, default=42, help="random dataset seed")
     p.add_argument("--trials", type=int, default=10, help="random datasets to check")
     p.set_defaults(func=_cmd_verify)

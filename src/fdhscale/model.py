@@ -114,7 +114,9 @@ class Dataset:
             raise IndexOutOfRangeError(f"no unit named {name!r}") from None
 
     def as_exact(self) -> "Dataset":
-        """Copy with every entry converted to an exact rational."""
+        """Copy with every entry converted to a Fraction; exact data is shared."""
+        if all(type(v) is Fraction for row in self.inputs + self.outputs for v in row):
+            return self
         return Dataset(
             self.names,
             tuple(tuple(Fraction(v) for v in row) for row in self.inputs),

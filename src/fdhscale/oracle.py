@@ -2,18 +2,19 @@
 
 Nothing here reuses the closed forms of the fast path. Scores come from
 enumerating, per candidate peer, the exact interval of admissible scaling
-factors and evaluating the objective at its endpoints. Scale ratios come
-from sweeping secant slopes of the response curve over structural points
-(every step threshold, midpoints between them) plus a dense grid, so the
-grid corroborates while the structural points pin the exact extremum.
-Feasibility of the strict and weak scaling systems is decided from exact
-interval endpoints, never by sampling.
+factors and evaluating the objective at its endpoints. Scale ratios are
+the extreme secant slopes through (1, 1) of the response curve, read off
+one walk per unit over structural points (every step threshold, midpoints
+between them) plus a grid of G points per unit, so the grid corroborates
+while the structural points pin the exact extremum. Feasibility of the
+strict and weak scaling systems is decided from exact interval endpoints,
+never by sampling.
 
-Each sweep evaluates the curve by merging its ascending runs of points
-against the peers sorted by input ratio, O(n log n + G) for G points
-instead of a rescan of all n peers per point; the fast path's dict and
-bisection share no code with it. ``verify_dataset`` computes each oracle
-value once per unit before it runs its checks.
+The walk evaluates the curve by merging its ascending runs of points
+against the peers sorted by input ratio, O(n log n + G) instead of a
+rescan of all n peers per point; the fast path's dict and bisection share
+no code with it. ``verify_dataset`` walks each unit's curve once, and
+computes each other oracle value once per unit, before it runs its checks.
 
 Every function converts the dataset to ``fractions.Fraction`` first, so
 results are exact relative to the stored values.
@@ -25,8 +26,8 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import chain
-from typing import Iterable, Iterator
+from itertools import accumulate, chain, repeat
+from typing import Callable, Iterable, Iterator
 
 from . import response, rts
 from .errors import InefficientUnitError, OutOfDomainError
@@ -37,10 +38,11 @@ from .technology import find_dominating
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Knobs for the sweep-based checks.
+    """Knobs for the curve walk.
 
-    ``grid_steps`` points are spread across each sweep, whose domain ends at
-    10x the largest input ratio of the reference, and at least at 2.
+    ``grid_steps`` is the number of grid points per unit: they span the
+    unit's curve from its first threshold to 10x the largest input ratio of
+    the reference, and at least to 2.
     """
 
     grid_steps: int = 10_000
@@ -142,10 +144,6 @@ def oracle_response_value(d: Dataset, o: int, alpha: Numeric) -> Fraction:
     return best
 
 
-def _sweep_domain(pairs: list[tuple[Fraction, Fraction]]) -> Fraction:
-    return max(10 * max(a for a, _ in pairs), Fraction(2))
-
-
 def _curve_runs(
     pairs: list[tuple[Fraction, Fraction]], *runs: Iterable[Fraction]
 ) -> Iterator[tuple[Fraction, Fraction]]:
@@ -169,54 +167,64 @@ def _curve_runs(
         yield p, best
 
 
+def _walk(
+    pairs: list[tuple[Fraction, Fraction]],
+    cfg: OracleConfig,
+    steps: list[Fraction] | None = None,
+    evaluate: Callable[[Fraction], Numeric] | None = None,
+    ratios: bool = True,
+) -> tuple[Fraction | None, int, Fraction, RatioValue]:
+    """One walk of the exact response curve, read three ways.
+
+    The walk visits ``steps`` (ascending, the first at most 1; by default the
+    pairs' own thresholds), their midpoints and a grid of ``cfg.grid_steps``
+    steps from the first to ``max(10 * largest alpha, 2)``. Returns the first
+    point where ``evaluate`` differs from the curve (or ``None``), the points
+    compared up to it, and, with ``ratios``, the extreme secant slopes through
+    (1, 1): sigma_plus above 1, clamped at 0, and sigma_minus below 1,
+    ``UNBOUNDED`` with no point there (else 0 and ``UNBOUNDED``). The pairs'
+    own thresholds join the slopes without being compared, so the ratios
+    never depend on ``steps``.
+    """
+    own = sorted({a for a, _ in pairs})
+    steps = own if steps is None else steps
+    spacing = (max(10 * own[-1], Fraction(2)) - steps[0]) / cfg.grid_steps
+    curve = _curve_runs(
+        pairs,
+        steps,
+        ((u + v) / 2 for u, v in zip(steps, steps[1:])),
+        accumulate(repeat(spacing, cfg.grid_steps), initial=steps[0]),
+    )
+    miss, count, plus, minus = None, 0, Fraction(0), UNBOUNDED
+    for p, v in curve:
+        if evaluate is not None and miss is None:
+            count += 1
+            if evaluate(p) != v:
+                miss = p
+        if ratios and p > 1:
+            plus = max(plus, (v - 1) / (p - 1))
+        elif ratios and p < 1:
+            minus = min(minus, (v - 1) / (p - 1))
+    at_own = list(_curve_runs(pairs, own)) if ratios else []
+    plus = max(chain([plus], ((b - 1) / (a - 1) for a, b in at_own if a > 1)))
+    minus = min(chain([minus], ((v - 1) / (p - 1) for p, v in at_own if p < 1)))
+    return miss, count, plus, minus
+
+
 def oracle_sigma_plus(
     d: Dataset, o: int, cfg: OracleConfig = OracleConfig()
 ) -> Fraction:
-    """Supremum of secant slopes above the observed scale.
-
-    Candidates: one slope per peer needing strictly more input, the slope
-    at every step threshold above 1, at midpoints bracketing the first
-    step, and across a dense grid. Returns their maximum (0 when the curve
-    is flat above 1).
-    """
+    """Supremum of secant slopes above the observed scale (0 when flat above 1)."""
     _require_efficient(d, o)
-    pairs = _exact_pairs(d, o)
-    amax = _sweep_domain(pairs)
-    above = sorted({a for a, _ in pairs if 1 < a <= amax})
-    step = (amax - 1) / cfg.grid_steps
-    curve = _curve_runs(
-        pairs,
-        [(1 + a) / 2 for a in above[:1]],
-        above,
-        ((u + v) / 2 for u, v in zip(above, above[1:])),
-        (1 + k * step for k in range(1, cfg.grid_steps + 1)),
-    )
-    pair_slopes = ((b - 1) / (a - 1) for a, b in pairs if a > 1)
-    peak = max(chain(pair_slopes, ((v - 1) / (p - 1) for p, v in curve)))
-    return peak if peak > 0 else Fraction(0)
+    return _walk(_exact_pairs(d, o), cfg)[2]
 
 
 def oracle_sigma_minus(
     d: Dataset, o: int, cfg: OracleConfig = OracleConfig()
 ) -> RatioValue:
-    """Infimum of secant slopes below the observed scale.
-
-    Sweeps step thresholds below 1 plus a dense grid over the curve's
-    domain; symbolic infinity when the domain has nothing below 1.
-    """
+    """Infimum of secant slopes below the observed scale (``UNBOUNDED`` with none)."""
     _require_efficient(d, o)
-    pairs = _exact_pairs(d, o)
-    amin = min(a for a, _ in pairs)
-    if amin >= 1:
-        return UNBOUNDED
-
-    step = (1 - amin) / cfg.grid_steps
-    curve = _curve_runs(
-        pairs,
-        sorted({a for a, _ in pairs if a < 1}),
-        (amin + k * step for k in range(cfg.grid_steps)),
-    )
-    return min((v - 1) / (p - 1) for p, v in curve)
+    return _walk(_exact_pairs(d, o), cfg)[3]
 
 
 def oracle_system_feasible(d: Dataset, o: int, system: ScalingSystem) -> bool:
@@ -336,32 +344,23 @@ def _score_failures(
                 yield f"witness infeasible for {d.names[o]} under {reg.value}"
 
 
-def _curve_failure(d: Dataset, o: int, cfg: OracleConfig) -> tuple[str | None, int]:
-    """The first disagreement of unit ``o``'s response steps with a fresh sweep.
+def _curve_check(
+    d: Dataset, o: int, cfg: OracleConfig, ratios: bool
+) -> tuple[str | None, int, Fraction, RatioValue]:
+    """Unit ``o``'s response check and, with ``ratios``, both its ratios.
 
-    Returns it, or ``None``, with the number of points compared up to it.
+    Returns the first disagreement or ``None``, the number of points compared
+    up to it, sigma_plus and sigma_minus, all from one :func:`_walk`.
     """
     r = response.build_response(d, o)
     thresholds = [t for t, _ in r.steps]
-    if thresholds != sorted(set(thresholds)) or [
-        v for _, v in r.steps
-    ] != sorted({v for _, v in r.steps}):
-        return f"non-canonical steps at {d.names[o]}", 0
+    values = [v for _, v in r.steps]
     pairs = _exact_pairs(d, o)
-    lo = thresholds[0]
-    step = (_sweep_domain(pairs) - lo) / cfg.grid_steps
-    curve = _curve_runs(
-        pairs,
-        thresholds,
-        ((u + v) / 2 for u, v in zip(thresholds, thresholds[1:])),
-        (lo + k * step for k in range(cfg.grid_steps + 1)),
-    )
-    count = 0
-    for alpha, want in curve:
-        count += 1
-        if r.evaluate(alpha) != want:
-            return f"curve mismatch at {d.names[o]}, alpha={alpha!r}", count
-    return None, count
+    if thresholds != sorted(set(thresholds)) or values != sorted(set(values)):
+        return (f"non-canonical steps at {d.names[o]}", 0) + _walk(pairs, cfg)[2:]
+    miss, count, plus, minus = _walk(pairs, cfg, thresholds, r.evaluate, ratios)
+    bad = None if miss is None else f"curve mismatch at {d.names[o]}, alpha={miss!r}"
+    return bad, count, plus, minus
 
 
 def _implication_failures(
@@ -386,9 +385,9 @@ def verify_dataset(
 
     The fast side is what a report prints: one :func:`classify_all` (scores,
     scale-size flags, ratios and classes) plus each unit's response function.
-    Each oracle value is computed once per unit: the scores per regime, the
-    two ratio sweeps, the scaling systems. The checks then compare with zero
-    tolerance. Returns one result per named check.
+    Each oracle value is computed once per unit: the scores per regime, one
+    curve walk for the response check and both ratios, the scaling systems.
+    The checks then compare with zero tolerance. Returns one result per named check.
     """
     d = d.as_exact()
     efficient = [o for o in range(d.n) if find_dominating(d, Delta.VRS, o) is None]
@@ -396,10 +395,9 @@ def verify_dataset(
     reports = [o for o in efficient if isinstance(items[o], rts.RtsReport)]
     theta = [{reg: oracle_theta(d, reg, o) for reg in Delta} for o in range(d.n)]
     phi = [{reg: oracle_phi(d, reg, o) for reg in Delta} for o in range(d.n)]
-    swept = {
-        o: (oracle_sigma_plus(d, o, cfg), oracle_sigma_minus(d, o, cfg))
-        for o in efficient
-    }
+    # one walk per unit: the response check, and the ratios of efficient units
+    walks = [_curve_check(d, o, cfg, o in efficient) for o in range(d.n)]
+    swept = {o: walks[o][2:] for o in efficient}
     results: list[CheckResult] = []
 
     def run(name: str, failures: list[str], count: int) -> None:
@@ -434,11 +432,10 @@ def verify_dataset(
         ],
         d.n,
     )
-    curves = [_curve_failure(d, o, cfg) for o in range(d.n)]
     run(
         "response-curve-matches-sweep",
-        [bad for bad, _ in curves if bad],
-        sum(count for _, count in curves),
+        [bad for bad, _, _, _ in walks if bad],
+        sum(count for _, count, _, _ in walks),
     )
 
     marked = [

@@ -80,9 +80,9 @@ def sigma_plus(d: Dataset, o: int, tol: Tolerance = Tolerance()) -> SigmaResult:
 
 
 def _sigma_plus(rt: RatioTable, tol: Tolerance) -> SigmaResult:
-    pairs = enumerate(zip(rt.alpha, rt.beta))
+    pairs, floor = enumerate(zip(rt.alpha, rt.beta)), 1 + tol.eps
     best = max(
-        (((b - 1) / (a - 1), -j) for j, (a, b) in pairs if a > 1 + tol.eps),
+        (((b - 1) / (a - 1), -j) for j, (a, b) in pairs if a > floor),
         default=None,
     )
     if best is None or best[0] <= 0:
@@ -101,9 +101,9 @@ def sigma_minus(d: Dataset, o: int, tol: Tolerance = Tolerance()) -> SigmaResult
 
 
 def _sigma_minus(rt: RatioTable, tol: Tolerance) -> SigmaResult:
-    pairs = enumerate(zip(rt.alpha, rt.beta))
+    pairs, ceiling = enumerate(zip(rt.alpha, rt.beta)), 1 - tol.eps
     best = min(
-        (((b - 1) / (a - 1), j) for j, (a, b) in pairs if a < 1 - tol.eps),
+        (((b - 1) / (a - 1), j) for j, (a, b) in pairs if a < ceiling),
         default=None,
     )
     if best is None:

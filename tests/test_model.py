@@ -96,6 +96,7 @@ class TestDataset:
         assert all(isinstance(v, float) for row in df.inputs for v in row)
         de = df.as_exact()
         assert de.inputs == stair.inputs and de.outputs == stair.outputs
+        assert de.as_exact() is de and stair.as_exact() is stair
 
     def test_as_float_validates_the_copy(self, stair):
         plain = tuple(tuple(float(v) for v in row) for row in stair.outputs)

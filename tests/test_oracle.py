@@ -6,7 +6,7 @@ import pytest
 
 import fdhscale as f
 from fdhscale import Delta, OracleConfig, ScalingSystem, UNBOUNDED
-from fdhscale import efficiency, response, rts, scale
+from fdhscale import efficiency, oracle, response, rts, scale
 
 from conftest import make_staircase, with_dominated
 
@@ -75,6 +75,18 @@ class TestRatioOracle:
                     continue
                 assert f.sigma_plus(d, o).value == f.oracle_sigma_plus(d, o, FAST_CFG)
                 assert f.sigma_minus(d, o).value == f.oracle_sigma_minus(d, o, FAST_CFG)
+
+    def test_walk_ratios_ignore_the_step_list_and_the_compared_values(self, stair):
+        # D's smallest slope below 1 sits at its first threshold, 1/6; the
+        # step lists below put no swept point there, A's none above 1 either
+        d_pairs, a_pairs = oracle._exact_pairs(stair, 3), oracle._exact_pairs(stair, 0)
+        for steps in (None, [F(1, 2), F(5, 6), F(1)], [F(1)]):
+            assert oracle._walk(d_pairs, FAST_CFG, steps)[2:] == (F(0), F(66, 65))
+        assert oracle._walk(a_pairs, FAST_CFG, [F(1)])[2:] == (F(11, 10), UNBOUNDED)
+        # a wrong curve to compare with is reported and moves neither ratio
+        steps = [F(1, 6), F(1, 2), F(5, 6), F(1)]
+        got = oracle._walk(d_pairs, FAST_CFG, steps, lambda p: F(1))
+        assert got == (F(1, 6), 1, F(0), F(66, 65))
 
     def test_dominated_unit_rejected(self):
         d = with_dominated("E", x=(4,), y=(4,))
@@ -185,9 +197,13 @@ def _nudge_last_step(r):
     return dataclasses.replace(r, steps=r.steps[:-1] + ((t, v + TINY),))
 
 
-def _drop_d_step_at_half(r):
-    # D's steps below 1 sit at 1/6, 1/2 and 5/6; the ratios stay exact
-    return r if r.reference != 3 else dataclasses.replace(r, steps=r.steps[:1] + r.steps[2:])
+def _d_steps(change):
+    """Change the step list of D, whose steps below 1 sit at 1/6, 1/2 and 5/6."""
+
+    def faulty(r):
+        return r if r.reference != 3 else dataclasses.replace(r, steps=change(r.steps))
+
+    return faulty
 
 
 def _nudge_score(sc):
@@ -255,6 +271,7 @@ FAULT_DIGESTS = {
     "grs-growth": (3, "6a40a04cf49b2b235f309a1c920af0ffa3887250dbe387fd30dcd6e198a9b619"),
     "phi-witness": (3, "158439a734b449941ca0d86eb18884369e1f21d5d5437803ad56f04ec504af07"),
     "dropped-step": (3, "fef549052817729bea296111f294940e326451401f4a7f6779069c35b95e68a6"),
+    "repeated-step": (3, "e330eb43fbe6ded1be9da3c41cdb6f1828cfee319107d00f55304b926576e7f2"),
 }
 
 
@@ -316,21 +333,28 @@ class TestPlantedFaults:
         assert status["overall"] == ["FAIL"] and code == 3
         assert _digest(code, out) == FAULT_DIGESTS["dominated-marker"]
 
-    def test_dropped_step_fails_the_curve_and_leaves_the_ratios_exact(
-        self, capsys, monkeypatch, stair_csv
+    @pytest.mark.parametrize(
+        "fault,change",
+        [
+            ("dropped-step", lambda steps: steps[:1] + steps[2:]),
+            ("repeated-step", lambda steps: steps[:1] + steps),
+        ],
+    )
+    def test_wrong_steps_fail_the_curve_and_leave_the_ratios_exact(
+        self, capsys, monkeypatch, stair_csv, fault, change
     ):
         # the ratio checks read their oracle values off the same walk as the
         # curve check, so a wrong step list must not move them
         right = response.build_response
         monkeypatch.setattr(
-            response, "build_response", lambda d, o: _drop_d_step_at_half(right(d, o))
+            response, "build_response", lambda d, o: _d_steps(change)(right(d, o))
         )
         code, out, status = _verify_stair(capsys, stair_csv)
         assert status["response-curve-matches-sweep"][0] == "FAIL"
         assert status["max-incremental-ratio-matches-sweep"][0] == "PASS"
         assert status["min-decremental-ratio-matches-sweep"][0] == "PASS"
         assert status["overall"] == ["FAIL"] and code == 3
-        assert _digest(code, out) == FAULT_DIGESTS["dropped-step"]
+        assert _digest(code, out) == FAULT_DIGESTS[fault]
 
     @pytest.mark.parametrize(
         "fault,plant,checks",
