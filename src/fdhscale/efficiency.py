@@ -91,10 +91,6 @@ class EfficiencyScores:
     phi: Mapping[Delta, Score]
 
 
-def compute_scores(d: Dataset, o: int) -> EfficiencyScores:
-    return _scores(ratio_table(d, o))
-
-
 def _scores(rt: RatioTable) -> EfficiencyScores:
     return EfficiencyScores(
         reference=rt.reference,
@@ -103,13 +99,6 @@ def _scores(rt: RatioTable) -> EfficiencyScores:
     )
 
 
-def is_mpss(d: Dataset, o: int, tol: Tolerance = Tolerance()) -> bool:
-    """Whether ``o`` attains most productive scale size.
-
-    True when the constant-returns contraction score is 1 within ``tol``.
-    """
-    return _at_mpss(theta(d, Delta.CRS, o), tol)
-
-
 def _at_mpss(theta_crs: Score, tol: Tolerance) -> bool:
+    """Most productive scale size: the constant-returns score is 1 within ``tol``."""
     return abs(theta_crs.value - 1) <= tol.eps

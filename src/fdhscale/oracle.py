@@ -176,9 +176,10 @@ def _walk(
 ) -> tuple[Fraction | None, int, Fraction, RatioValue]:
     """One walk of the exact response curve, read three ways.
 
-    The walk visits ``steps`` (ascending, the first at most 1; by default the
-    pairs' own thresholds), their midpoints and a grid of ``cfg.grid_steps``
-    steps from the first to ``max(10 * largest alpha, 2)``. Returns the first
+    The walk visits ``steps`` (ascending, none below the smallest alpha; by
+    default the pairs' own thresholds), their midpoints and a grid of
+    ``cfg.grid_steps`` steps from the smallest alpha to
+    ``max(10 * largest alpha, 2)``. Returns the first
     point where ``evaluate`` differs from the curve (or ``None``), the points
     compared up to it, and, with ``ratios``, the extreme secant slopes through
     (1, 1): sigma_plus above 1, clamped at 0, and sigma_minus below 1,
@@ -188,12 +189,12 @@ def _walk(
     """
     own = sorted({a for a, _ in pairs})
     steps = own if steps is None else steps
-    spacing = (max(10 * own[-1], Fraction(2)) - steps[0]) / cfg.grid_steps
+    spacing = (max(10 * own[-1], Fraction(2)) - own[0]) / cfg.grid_steps
     curve = _curve_runs(
         pairs,
         steps,
         ((u + v) / 2 for u, v in zip(steps, steps[1:])),
-        accumulate(repeat(spacing, cfg.grid_steps), initial=steps[0]),
+        accumulate(repeat(spacing, cfg.grid_steps), initial=own[0]),
     )
     miss, count, plus, minus = None, 0, Fraction(0), UNBOUNDED
     for p, v in curve:
@@ -356,11 +357,16 @@ def _curve_check(
     thresholds = [t for t, _ in r.steps]
     values = [v for _, v in r.steps]
     pairs = _exact_pairs(d, o)
+    start = min(pairs)[0]
     if thresholds != sorted(set(thresholds)) or values != sorted(set(values)):
-        return (f"non-canonical steps at {d.names[o]}", 0) + _walk(pairs, cfg)[2:]
-    miss, count, plus, minus = _walk(pairs, cfg, thresholds, r.evaluate, ratios)
-    bad = None if miss is None else f"curve mismatch at {d.names[o]}, alpha={miss!r}"
-    return bad, count, plus, minus
+        bad = f"non-canonical steps at {d.names[o]}"
+    elif r.alpha_min != start:
+        bad = f"domain of {d.names[o]} starts at {r.alpha_min!r}, not {start!r}"
+    else:
+        miss, count, plus, minus = _walk(pairs, cfg, thresholds, r.evaluate, ratios)
+        bad = None if miss is None else f"curve mismatch at {d.names[o]}, alpha={miss!r}"
+        return bad, count, plus, minus
+    return (bad, 0) + _walk(pairs, cfg)[2:]
 
 
 def _implication_failures(

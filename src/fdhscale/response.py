@@ -32,13 +32,16 @@ class ResponseFunction:
     """Canonical step list: thresholds and values both strictly increasing.
 
     ``steps[k] = (threshold, value)`` means the function equals ``value``
-    from that threshold up to the next one. The domain starts at
-    ``alpha_min``; queries below it are undefined.
+    from that threshold up to the next one. The domain starts at the first
+    threshold, ``alpha_min``; queries below it are undefined.
     """
 
     reference: int
-    alpha_min: Numeric
     steps: tuple[tuple[Numeric, Numeric], ...]
+
+    @property
+    def alpha_min(self) -> Numeric:
+        return self.steps[0][0]
 
     def evaluate(self, alpha: Numeric) -> Numeric:
         if alpha < self.alpha_min:
@@ -63,7 +66,7 @@ def build_response(d: Dataset, o: int) -> ResponseFunction:
         v = best_at[a]
         if not steps or v > steps[-1][1]:
             steps.append((a, v))
-    return ResponseFunction(reference=o, alpha_min=steps[0][0], steps=tuple(steps))
+    return ResponseFunction(reference=o, steps=tuple(steps))
 
 
 def one_sided_step_derivatives(

@@ -1,8 +1,10 @@
 """One-sided and global returns-to-scale classification.
 
-Right and left classes describe the frontier immediately above and below
-the observed scale of an efficient unit; each is read off its scale ratio
-by one rule: above 1 + eps, below 1 - eps, or in between. The global class
+``classify_unit`` reads every quantity of one unit off its ratio table:
+scores, the scale-size flag and, for an efficient unit, both scale ratios
+and the classes. Right and left classes describe the frontier immediately
+above and below the observed scale; each is read off its scale ratio by
+one rule: above 1 + eps, below 1 - eps, or in between. The global class
 compares the constant-returns score with the two one-sided-regime scores.
 ``check_consistency`` applies the same rule to a report's stored ratios
 and checks the implications the global class imposes, so a report can be
@@ -15,11 +17,11 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Union
 
-from .efficiency import EfficiencyScores, Score, _at_mpss, _scores, _theta
+from .efficiency import EfficiencyScores, Score, _at_mpss, _scores
 from .errors import UnclassifiableError
 from .model import Dataset, Delta, Numeric, Tolerance, ratio_table
-from .scale import RatioValue, ScaleRatios, _scale_ratios, _sigma_minus, _sigma_plus
-from .technology import dominating_peer, efficient_table
+from .scale import RatioValue, ScaleRatios, _scale_ratios
+from .technology import dominating_peer
 
 
 class RightRts(Enum):
@@ -53,30 +55,6 @@ class OneSidedRts:
     left: LeftRts
 
 
-_SUBJECT = "returns-to-scale classes"
-
-
-def right_rts(d: Dataset, o: int, tol: Tolerance = Tolerance()) -> RightRts:
-    """Classify the frontier immediately above unit ``o``'s scale.
-
-    Increasing when the maximum incremental ratio exceeds 1 + eps,
-    decreasing when it is below 1 - eps, constant in between.
-    """
-    ratio = _sigma_plus(efficient_table(d, o, _SUBJECT), tol).value
-    return _side_class(RightRts, ratio, tol)
-
-
-def left_rts(d: Dataset, o: int, tol: Tolerance = Tolerance()) -> LeftRts:
-    """Classify the frontier immediately below unit ``o``'s scale.
-
-    Increasing when the minimum decremental ratio exceeds 1 + eps or is
-    unbounded (no smaller peer), decreasing when it is below 1 - eps,
-    constant in between.
-    """
-    ratio = _sigma_minus(efficient_table(d, o, _SUBJECT), tol).value
-    return _side_class(LeftRts, ratio, tol)
-
-
 def _side_class(kind: type[Enum], ratio: RatioValue, tol: Tolerance) -> Enum:
     """A side's class of ``kind``: IRS above 1 + eps, DRS below 1 - eps, else CRS."""
     if ratio > 1 + tol.eps:  # UNBOUNDED compares above every number
@@ -89,18 +67,6 @@ def _side_class(kind: type[Enum], ratio: RatioValue, tol: Tolerance) -> Enum:
 def _close(a: Numeric, b: Numeric, eps: float) -> bool:
     scale = max(1, abs(a), abs(b))
     return abs(a - b) <= eps * scale
-
-
-def grs(d: Dataset, o: int, tol: Tolerance = Tolerance()) -> GrsClass:
-    """Global class of efficient unit ``o`` from contraction scores.
-
-    Raises:
-        UnclassifiableError: scores match no pattern; cannot happen with
-            exact arithmetic, and signals numerical trouble with floats.
-    """
-    rt = efficient_table(d, o, _SUBJECT)
-    regimes = (Delta.CRS, Delta.NIRS, Delta.NDRS)
-    return _grs({reg: _theta(rt, reg) for reg in regimes}, tol)
 
 
 def _grs(theta: Mapping[Delta, Score], tol: Tolerance) -> GrsClass:
@@ -153,6 +119,10 @@ def classify_unit(
     efficient unit also gets its scale ratios and its one-sided and global
     classes; a dominated unit gets a marker naming the lowest-index unit
     that dominates it.
+
+    Raises:
+        UnclassifiableError: an efficient unit's scores fit no global
+            pattern, which only float rounding can cause.
     """
     rt = ratio_table(d, o)
     scores = _scores(rt)

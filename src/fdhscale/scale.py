@@ -1,13 +1,14 @@
 """Incremental and decremental productivity ratios for efficient units.
 
-``sigma_plus`` is the best marginal gain available from growing past the
-observed scale: the largest value of (output step - 1)/(input step - 1)
-over peers that require strictly more input. ``sigma_minus`` is the mirror
-under shrinking: the smallest such ratio over peers using strictly less
-input. Both equal the extremal slopes of secants of the response function
-through the point (1, 1); docs/derivations.md carries the argument, and
-the oracle module confirms both against direct sweeps of the response
-curve.
+``scale_ratios`` gives both ratios of one unit with their witnesses. The
+maximum incremental ratio is the best marginal gain from growing past the
+observed scale: the largest (output step - 1)/(input step - 1) over peers
+with an input ratio above 1 + eps, clamped at 0 (with no witness then).
+The minimum decremental ratio is the mirror under shrinking, over peers
+with an input ratio below 1 - eps, and the symbolic UNBOUNDED with none.
+Both equal the extremal slopes of secants of the response function
+through (1, 1); docs/derivations.md carries the argument, and the oracle
+module confirms both against one walk of the response curve.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
-from .model import Dataset, Numeric, RatioTable, Tolerance
-from .technology import efficient_table
+from .errors import InefficientUnitError
+from .model import Dataset, Numeric, RatioTable, Tolerance, ratio_table
+from .technology import dominating_peer
 
 
 class UnboundedRatio:
@@ -66,19 +68,6 @@ class SigmaResult(NamedTuple):
     witness: int | None
 
 
-_SUBJECT = "scale ratios"
-
-
-def sigma_plus(d: Dataset, o: int, tol: Tolerance = Tolerance()) -> SigmaResult:
-    """Maximum incremental ratio of efficient unit ``o``, clamped at 0.
-
-    Peers enter only with an input ratio strictly above 1 + eps. With no
-    such peer, or none improving on staying put, the value is 0 and the
-    witness is ``None``.
-    """
-    return _sigma_plus(efficient_table(d, o, _SUBJECT), tol)
-
-
 def _sigma_plus(rt: RatioTable, tol: Tolerance) -> SigmaResult:
     pairs, floor = enumerate(zip(rt.alpha, rt.beta)), 1 + tol.eps
     best = max(
@@ -88,16 +77,6 @@ def _sigma_plus(rt: RatioTable, tol: Tolerance) -> SigmaResult:
     if best is None or best[0] <= 0:
         return SigmaResult(0, None)
     return SigmaResult(best[0], -best[1])
-
-
-def sigma_minus(d: Dataset, o: int, tol: Tolerance = Tolerance()) -> SigmaResult:
-    """Minimum decremental ratio of efficient unit ``o``.
-
-    Peers enter only with an input ratio strictly below 1 - eps. With no
-    such peer the reference is the smallest scale in sight and the value
-    is the symbolic :data:`UNBOUNDED`.
-    """
-    return _sigma_minus(efficient_table(d, o, _SUBJECT), tol)
 
 
 def _sigma_minus(rt: RatioTable, tol: Tolerance) -> SigmaResult:
@@ -123,7 +102,19 @@ class ScaleRatios:
 
 
 def scale_ratios(d: Dataset, o: int, tol: Tolerance = Tolerance()) -> ScaleRatios:
-    return _scale_ratios(efficient_table(d, o, _SUBJECT), tol)
+    """Both scale ratios of unit ``o``.
+
+    Raises:
+        InefficientUnitError: some unit dominates ``o``.
+    """
+    rt = ratio_table(d, o)
+    w = dominating_peer(d, rt)
+    if w is not None:
+        raise InefficientUnitError(
+            f"unit {d.names[o]!r} is dominated by {d.names[w]!r}; "
+            "scale ratios are defined for efficient units"
+        )
+    return _scale_ratios(rt, tol)
 
 
 def _scale_ratios(rt: RatioTable, tol: Tolerance) -> ScaleRatios:

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DimensionMismatchError, InefficientUnitError
-from .model import Dataset, Delta, Numeric, RatioTable, check_index, ratio_table
+from .errors import DimensionMismatchError
+from .model import Dataset, Delta, Numeric, RatioTable, check_index
 
 
 @dataclass(frozen=True)
@@ -93,11 +93,6 @@ def find_dominating(d: Dataset, delta: Delta, o: int) -> int | None:
     return None
 
 
-def is_efficient(d: Dataset, delta: Delta, o: int) -> bool:
-    """Whether no admitted point of the technology dominates unit ``o``."""
-    return find_dominating(d, delta, o) is None
-
-
 def dominating_peer(d: Dataset, rt: RatioTable) -> int | None:
     """Lowest-index unit dominating the table's reference at fixed scale.
 
@@ -115,19 +110,3 @@ def dominating_peer(d: Dataset, rt: RatioTable) -> int | None:
             return j
     return None
 
-
-def efficient_table(d: Dataset, o: int, subject: str) -> RatioTable:
-    """Ratio table of unit ``o``, which must be efficient at fixed scale.
-
-    Raises:
-        InefficientUnitError: some unit dominates ``o``; ``subject`` names
-            what is defined only for efficient units.
-    """
-    rt = ratio_table(d, o)
-    w = dominating_peer(d, rt)
-    if w is not None:
-        raise InefficientUnitError(
-            f"unit {d.names[o]!r} is dominated by {d.names[w]!r}; "
-            f"{subject} are defined for efficient units"
-        )
-    return rt

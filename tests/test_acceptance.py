@@ -71,7 +71,7 @@ def test_criterion_2_global_class_and_growth_proportions(announce):
     a = d.index_of("A")
     rt = f.ratio_table(d, a)
     ok = (
-        f.grs(d, a) is GrsClass.IRS
+        f.classify_unit(d, a).grs is GrsClass.IRS
         and rt.alpha[d.index_of("B")] == 3
         and rt.beta[d.index_of("B")] == 2
     )
@@ -219,7 +219,7 @@ def test_criterion_7_increasing_units_match_the_growth_sweep(classified_batch, a
             if not winners <= growth:
                 bad += 1
                 continue
-            if f.sigma_plus(d, o).value != f.oracle_sigma_plus(d, o, cfg):
+            if item.sigma.sigma_plus != f.oracle_sigma_plus(d, o, cfg):
                 bad += 1
     ok = bad == 0 and irs_units > 0
     announce(7, ok, f"{irs_units} globally increasing units: growth set nonempty, "

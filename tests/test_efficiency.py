@@ -71,7 +71,7 @@ class TestStructure:
         )
 
     def test_compute_scores_covers_all_regimes(self, stair):
-        sc = f.compute_scores(stair, 1)
+        sc = f.classify_unit(stair, 1).scores
         assert sc.reference == 1
         assert set(sc.theta) == set(DELTAS) and set(sc.phi) == set(DELTAS)
         assert sc.theta[Delta.CRS].value == F(8, 13)
@@ -130,16 +130,16 @@ class TestStructure:
 
 class TestMostProductiveScale:
     def test_staircase_has_unique_best_scale_unit(self, stair):
-        flags = [f.is_mpss(stair, o) for o in range(stair.n)]
+        flags = [f.classify_unit(stair, o).mpss for o in range(stair.n)]
         assert flags == [False, False, False, True]
 
     def test_all_units_on_common_ray_have_best_scale(self):
         d = f.validate_dataset(["r1", "r2", "r3"], [[1], [2], [3]], [[2], [4], [6]])
-        assert all(f.is_mpss(d, o) for o in range(3))
+        assert all(f.classify_unit(d, o).mpss for o in range(3))
 
     def test_float_and_exact_agree(self, stair, stair_float):
         for o in range(stair.n):
-            assert f.is_mpss(stair, o) == f.is_mpss(stair_float, o)
+            assert f.classify_unit(stair, o).mpss == f.classify_unit(stair_float, o).mpss
 
 
 def test_float_scores_match_exact_to_machine_precision(stair, stair_float):

@@ -73,12 +73,14 @@ class TestRatioOracle:
             for o in range(d.n):
                 if f.find_dominating(d, Delta.VRS, o) is not None:
                     continue
-                assert f.sigma_plus(d, o).value == f.oracle_sigma_plus(d, o, FAST_CFG)
-                assert f.sigma_minus(d, o).value == f.oracle_sigma_minus(d, o, FAST_CFG)
+                ratios = f.scale_ratios(d, o)
+                assert ratios.sigma_plus == f.oracle_sigma_plus(d, o, FAST_CFG)
+                assert ratios.sigma_minus == f.oracle_sigma_minus(d, o, FAST_CFG)
 
     def test_walk_ratios_ignore_the_step_list_and_the_compared_values(self, stair):
-        # D's smallest slope below 1 sits at its first threshold, 1/6; the
-        # step lists below put no swept point there, A's none above 1 either
+        # D's smallest slope below 1 sits at its first threshold, 1/6, where
+        # the grid starts but the step lists below put no step; A's largest
+        # above 1 sits at 6, which neither its step list nor the grid reaches
         d_pairs, a_pairs = oracle._exact_pairs(stair, 3), oracle._exact_pairs(stair, 0)
         for steps in (None, [F(1, 2), F(5, 6), F(1)], [F(1)]):
             assert oracle._walk(d_pairs, FAST_CFG, steps)[2:] == (F(0), F(66, 65))
@@ -87,6 +89,17 @@ class TestRatioOracle:
         steps = [F(1, 6), F(1, 2), F(5, 6), F(1)]
         got = oracle._walk(d_pairs, FAST_CFG, steps, lambda p: F(1))
         assert got == (F(1, 6), 1, F(0), F(66, 65))
+
+    def test_grid_starts_at_the_smallest_input_ratio(self, stair):
+        # a step list that starts at 1 still has D's curve compared from 1/6 on
+        curve = response.build_response(stair, 3).evaluate
+        got = oracle._walk(
+            oracle._exact_pairs(stair, 3),
+            FAST_CFG,
+            [F(1)],
+            lambda p: curve(p) if p >= F(1, 2) else F(0),
+        )
+        assert got == (F(1, 6), 2, F(0), F(66, 65))
 
     def test_dominated_unit_rejected(self):
         d = with_dominated("E", x=(4,), y=(4,))
@@ -272,6 +285,8 @@ FAULT_DIGESTS = {
     "phi-witness": (3, "158439a734b449941ca0d86eb18884369e1f21d5d5437803ad56f04ec504af07"),
     "dropped-step": (3, "fef549052817729bea296111f294940e326451401f4a7f6779069c35b95e68a6"),
     "repeated-step": (3, "e330eb43fbe6ded1be9da3c41cdb6f1828cfee319107d00f55304b926576e7f2"),
+    "dropped-first-step": (3, "9dd12aeb57b5dad38924a6637f689ad0cf3ca3c5325982ad44cdd08f0d289c7b"),
+    "step-below-domain": (3, "84346ed4a11d2ee56e6d2f26bcdd931dcc22dc151dc4cf219b32d166d4554eba"),
 }
 
 
@@ -338,6 +353,9 @@ class TestPlantedFaults:
         [
             ("dropped-step", lambda steps: steps[:1] + steps[2:]),
             ("repeated-step", lambda steps: steps[:1] + steps),
+            # the domain then starts too late, or below every peer's input ratio
+            ("dropped-first-step", lambda steps: steps[1:]),
+            ("step-below-domain", lambda steps: ((F(1, 12), F(1, 13)),) + steps),
         ],
     )
     def test_wrong_steps_fail_the_curve_and_leave_the_ratios_exact(

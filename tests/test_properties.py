@@ -201,16 +201,20 @@ def test_duplicate_rows_change_nothing(d, pick):
         [list(r) for r in d.inputs] + [list(d.inputs[o])],
         [list(r) for r in d.outputs] + [list(d.outputs[o])],
     )
+    def efficient(data, k):
+        return f.find_dominating(data, Delta.VRS, k) is None
+
     for k in range(d.n):
-        assert f.is_efficient(twin, Delta.VRS, k) == f.is_efficient(d, Delta.VRS, k)
+        assert efficient(twin, k) == efficient(d, k)
         for delta in DELTAS:
             assert f.theta(twin, delta, k).value == f.theta(d, delta, k).value
     # the twin inherits its original's standing and classes
-    assert f.is_efficient(twin, Delta.VRS, d.n) == f.is_efficient(d, Delta.VRS, o)
-    if f.is_efficient(d, Delta.VRS, o):
-        assert f.right_rts(twin, d.n) == f.right_rts(d, o)
-        assert f.left_rts(twin, d.n) == f.left_rts(d, o)
-        assert f.grs(twin, d.n) == f.grs(d, o)
+    assert efficient(twin, d.n) == efficient(d, o)
+    if efficient(d, o):
+        item, copy = f.classify_unit(d, o), f.classify_unit(twin, d.n)
+        assert copy.one_sided.right == item.one_sided.right
+        assert copy.one_sided.left == item.one_sided.left
+        assert copy.grs == item.grs
 
 
 @given(datasets())

@@ -89,6 +89,14 @@ class TestEvaluate:
         with pytest.raises(f.OutOfDomainError):
             r.evaluate(0)
 
+    def test_domain_starts_at_the_first_threshold_of_any_step_list(self):
+        steps = ((F(1, 2), F(4, 13)), (F(1), F(1)), (F(2), F(3)))
+        r = f.ResponseFunction(0, steps)
+        assert r.alpha_min == F(1, 2)
+        with pytest.raises(f.OutOfDomainError):
+            r.evaluate(F(1, 4))
+        assert r.evaluate(F(1, 2)) == F(4, 13)
+
     def test_call_alias(self, stair):
         r = f.build_response(stair, 1)
         assert r(F(2)) == r.evaluate(F(2)) == F(13, 4)

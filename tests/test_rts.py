@@ -26,6 +26,18 @@ EXPECTED_CLASSES = {
 }
 
 
+def _right(d, o, tol=Tolerance()):
+    return f.classify_unit(d, o, tol).one_sided.right
+
+
+def _left(d, o):
+    return f.classify_unit(d, o).one_sided.left
+
+
+def _global(d, o):
+    return f.classify_unit(d, o).grs
+
+
 def scaled_down_example() -> f.Dataset:
     # the reference is efficient yet every scaled score agrees below 1:
     # a smaller peer wins under contraction, a larger one under expansion
@@ -38,40 +50,40 @@ def scaled_down_example() -> f.Dataset:
 
 class TestOneSided:
     def test_staircase_right_classes(self, stair):
-        got = [f.right_rts(stair, o) for o in range(stair.n)]
+        got = [_right(stair, o) for o in range(stair.n)]
         assert got == [EXPECTED_CLASSES[name][0] for name in stair.names]
 
     def test_staircase_left_classes(self, stair):
-        got = [f.left_rts(stair, o) for o in range(stair.n)]
+        got = [_left(stair, o) for o in range(stair.n)]
         assert got == [EXPECTED_CLASSES[name][1] for name in stair.names]
 
     def test_solo_unit_is_decreasing_up_increasing_down(self):
         d = f.validate_dataset(["solo"], [[2]], [[5]])
-        assert f.right_rts(d, 0) is RightRts.DRS
-        assert f.left_rts(d, 0) is LeftRts.IRS
+        assert _right(d, 0) is RightRts.DRS
+        assert _left(d, 0) is LeftRts.IRS
 
     def test_proportional_neighbours_give_constant_sides(self):
         d = f.validate_dataset(["r1", "r2", "r3"], [[1], [2], [3]], [[2], [4], [6]])
-        assert f.right_rts(d, 1) is RightRts.CRS
-        assert f.left_rts(d, 1) is LeftRts.CRS
-        assert f.right_rts(d, 0) is RightRts.CRS
-        assert f.left_rts(d, 0) is LeftRts.IRS
-        assert f.right_rts(d, 2) is RightRts.DRS
-        assert f.left_rts(d, 2) is LeftRts.CRS
+        assert _right(d, 1) is RightRts.CRS
+        assert _left(d, 1) is LeftRts.CRS
+        assert _right(d, 0) is RightRts.CRS
+        assert _left(d, 0) is LeftRts.IRS
+        assert _right(d, 2) is RightRts.DRS
+        assert _left(d, 2) is LeftRts.CRS
 
     def test_dominated_unit_rejected(self):
+        # a dominated unit gets no classes, only a marker naming its dominator
         d = with_dominated("E", x=(4,), y=(4,))
-        for fn in (f.right_rts, f.left_rts, f.grs):
-            with pytest.raises(f.InefficientUnitError) as exc:
-                fn(d, 4)
-            assert "B" in str(exc.value)
+        item = f.classify_unit(d, 4)
+        assert isinstance(item, InefficientUnit)
+        assert d.names[item.witness] == "B"
 
     def test_tolerance_controls_the_near_one_band(self):
         d = f.validate_dataset(
             ["o", "p"], [[1.0], [1.00005]], [[1.0], [1.00005]]
         )
-        assert f.right_rts(d, 0) is RightRts.CRS
-        assert f.right_rts(d, 0, Tolerance(1e-4)) is RightRts.DRS
+        assert _right(d, 0) is RightRts.CRS
+        assert _right(d, 0, Tolerance(1e-4)) is RightRts.DRS
 
 
     @pytest.mark.parametrize(
@@ -91,37 +103,35 @@ class TestOneSided:
         item = f.classify_unit(d, 0, tol)
         assert item.one_sided == OneSidedRts(right, left)
         assert f.check_consistency(item, tol) == []
-        assert f.right_rts(d, 0, tol) is right
-        assert f.left_rts(d, 0, tol) is left
         rec = f.build_report_document(d, tol)["units"][0]
         assert (rec["right_rts"], rec["left_rts"]) == (right.value, left.value)
 
 
 class TestGlobal:
     def test_staircase_global_classes(self, stair):
-        got = [f.grs(stair, o) for o in range(stair.n)]
+        got = [_global(stair, o) for o in range(stair.n)]
         assert got == [EXPECTED_CLASSES[name][2] for name in stair.names]
 
     def test_scaled_down_unit_is_sub_constant(self):
         d = scaled_down_example()
-        assert f.grs(d, 0) is GrsClass.SCRS
-        assert f.right_rts(d, 0) is RightRts.IRS
-        assert f.left_rts(d, 0) is LeftRts.DRS
-        assert f.sigma_plus(d, 0).value == F(5, 2)
-        assert f.sigma_minus(d, 0).value == F(1, 2)
+        assert _global(d, 0) is GrsClass.SCRS
+        assert _right(d, 0) is RightRts.IRS
+        assert _left(d, 0) is LeftRts.DRS
+        assert f.scale_ratios(d, 0).sigma_plus == F(5, 2)
+        assert f.scale_ratios(d, 0).sigma_minus == F(1, 2)
 
     def test_only_smaller_peers_give_globally_decreasing(self):
         d = f.validate_dataset(["o", "small"], [[2], [1]], [[2], [F(3, 2)]])
-        assert f.grs(d, 0) is GrsClass.DRS
-        assert f.right_rts(d, 0) is RightRts.DRS
-        assert f.left_rts(d, 0) is LeftRts.DRS
+        assert _global(d, 0) is GrsClass.DRS
+        assert _right(d, 0) is RightRts.DRS
+        assert _left(d, 0) is LeftRts.DRS
 
     def test_two_unit_ray(self):
         d = f.validate_dataset(["lo", "hi"], [[1], [2]], [[1], [2]])
-        assert f.grs(d, 0) is GrsClass.CRS
-        assert f.grs(d, 1) is GrsClass.CRS
-        assert f.right_rts(d, 0) is RightRts.CRS
-        assert f.left_rts(d, 1) is LeftRts.CRS
+        assert _global(d, 0) is GrsClass.CRS
+        assert _global(d, 1) is GrsClass.CRS
+        assert _right(d, 0) is RightRts.CRS
+        assert _left(d, 1) is LeftRts.CRS
 
     def test_enum_labels(self):
         assert GrsClass.CRS.value == "G-CRS"

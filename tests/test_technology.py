@@ -72,16 +72,16 @@ class TestMembership:
 class TestEfficiency:
     def test_staircase_units_are_all_efficient(self, stair):
         for o in range(stair.n):
-            assert f.is_efficient(stair, Delta.VRS, o)
             assert f.find_dominating(stair, Delta.VRS, o) is None
+            assert isinstance(f.classify_unit(stair, o), f.RtsReport)
 
     def test_added_unit_is_dominated(self):
         d = with_dominated("E", x=(4,), y=(4,))
-        assert not f.is_efficient(d, Delta.VRS, 4)
+        assert f.find_dominating(d, Delta.VRS, 4) is not None
         assert d.names[f.find_dominating(d, Delta.VRS, 4)] == "B"
         # the original four stay efficient
         for o in range(4):
-            assert f.is_efficient(d, Delta.VRS, o)
+            assert f.find_dominating(d, Delta.VRS, o) is None
 
     def test_duplicate_unit_does_not_dominate_its_twin(self, stair):
         d = f.validate_dataset(
@@ -89,8 +89,8 @@ class TestEfficiency:
             [list(r) for r in stair.inputs] + [[F(3)]],
             [list(r) for r in stair.outputs] + [[F(4)]],
         )
-        assert f.is_efficient(d, Delta.VRS, 1)
-        assert f.is_efficient(d, Delta.VRS, 4)
+        assert f.find_dominating(d, Delta.VRS, 1) is None
+        assert f.find_dominating(d, Delta.VRS, 4) is None
 
     def test_proportional_twin_under_scaling_does_not_dominate(self):
         # under full scaling a ray twin collapses onto the same point exactly
@@ -100,8 +100,8 @@ class TestEfficiency:
 
     def test_scaling_regimes_expose_scale_inefficiency(self, stair):
         # A is efficient at fixed scale but shrunk copies of D overtake it
-        assert f.is_efficient(stair, Delta.VRS, 0)
-        assert not f.is_efficient(stair, Delta.CRS, 0)
+        assert f.find_dominating(stair, Delta.VRS, 0) is None
+        assert f.find_dominating(stair, Delta.CRS, 0) is not None
         assert stair.names[f.find_dominating(stair, Delta.CRS, 0)] == "D"
 
     def test_find_dominating_respects_regime_interval(self):
@@ -115,7 +115,7 @@ class TestEfficiency:
 
     def test_index_checked(self, stair):
         with pytest.raises(f.IndexOutOfRangeError):
-            f.is_efficient(stair, Delta.VRS, 9)
+            f.find_dominating(stair, Delta.VRS, 9)
 
 
 def test_dominated_units_are_members_of_their_own_hull(stair):
