@@ -1,20 +1,21 @@
 """Brute-force cross-checks in exact rational arithmetic.
 
-Nothing here reuses the closed forms of the fast path. Scores come from
-enumerating, per candidate peer, the exact interval of admissible scaling
-factors and evaluating the objective at its endpoints. Scale ratios are
-the extreme secant slopes through (1, 1) of the response curve, read off
-one walk per unit over structural points (every step threshold, midpoints
-between them) plus a grid of G points per unit, so the grid corroborates
-while the structural points pin the exact extremum. Feasibility of the
-strict and weak scaling systems is decided from exact interval endpoints,
-never by sampling.
+Nothing here reuses the closed forms of the fast path. Each exact value
+of a unit is read off the oracle's own list of pairs: every peer's worst
+input and output ratio against the unit. Scores come from enumerating, per
+peer, the interval of scaling factors the pair admits, and evaluating the
+objective at its endpoints. Scale ratios are the extreme secant slopes
+through (1, 1) of the response curve, read off one walk per unit over
+structural points (every step threshold, midpoints between them) plus a
+grid of G points per unit, so the grid corroborates while the structural
+points pin the exact extremum. Feasibility of the strict and weak scaling
+systems is decided from exact interval endpoints, never by sampling.
 
 The walk evaluates the curve by merging its ascending runs of points
 against the peers sorted by input ratio, O(n log n + G) instead of a
 rescan of all n peers per point; the fast path's dict and bisection share
-no code with it. ``verify_dataset`` walks each unit's curve once, and
-computes each other oracle value once per unit, before it runs its checks.
+no code with it. ``verify_dataset`` builds each unit's pairs once and
+reads every oracle value off them, with one walk, before its checks.
 
 Every function converts the dataset to ``fractions.Fraction`` first, so
 results are exact relative to the stored values.
@@ -66,6 +67,10 @@ class ScalingSystem(Enum):
     LEFT_STRICT = "left-strict"
 
 
+_Pair = tuple[Fraction, Fraction]
+_Pairs = list[_Pair]
+
+
 def _require_efficient(d: Dataset, o: int) -> None:
     w = find_dominating(d, Delta.VRS, o)
     if w is not None:
@@ -74,49 +79,8 @@ def _require_efficient(d: Dataset, o: int) -> None:
         )
 
 
-def oracle_theta(d: Dataset, delta: Delta, o: int) -> Fraction:
-    """Smallest input contraction, by exact interval enumeration."""
-    d = d.as_exact()
-    xo, yo = d.unit(o)
-    rlo, rhi = delta.bounds
-    best: Fraction | None = None
-    for xj, yj in zip(d.inputs, d.outputs):
-        scale_floor = max(w / v for w, v in zip(yo, yj))
-        lo = max(scale_floor, Fraction(rlo))
-        candidates = [lo]
-        if rhi is not None:
-            if lo > rhi:
-                continue
-            candidates.append(Fraction(rhi))
-        for t in candidates:
-            val = max(t * v / w for v, w in zip(xj, xo))
-            if best is None or val < best:
-                best = val
-    assert best is not None  # the reference itself is always a candidate
-    return best
-
-
-def oracle_phi(d: Dataset, delta: Delta, o: int) -> Fraction:
-    """Largest output expansion, by exact interval enumeration."""
-    d = d.as_exact()
-    xo, yo = d.unit(o)
-    rlo, rhi = delta.bounds
-    best: Fraction | None = None
-    for xj, yj in zip(d.inputs, d.outputs):
-        scale_cap = min(w / v for w, v in zip(xo, xj))
-        hi = scale_cap if rhi is None else min(scale_cap, Fraction(rhi))
-        lo = Fraction(rlo)
-        if hi < lo:
-            continue
-        for t in (hi, lo):
-            val = min(t * v / w for v, w in zip(yj, yo))
-            if best is None or val > best:
-                best = val
-    assert best is not None
-    return best
-
-
-def _exact_pairs(d: Dataset, o: int) -> list[tuple[Fraction, Fraction]]:
+def _exact_pairs(d: Dataset, o: int) -> _Pairs:
+    """Each peer's exact worst input and output ratio against unit ``o``."""
     d = d.as_exact()
     xo, yo = d.unit(o)
     return [
@@ -128,25 +92,54 @@ def _exact_pairs(d: Dataset, o: int) -> list[tuple[Fraction, Fraction]]:
     ]
 
 
-def oracle_response_value(d: Dataset, o: int, alpha: Numeric) -> Fraction:
-    """Largest feasible output share at input share ``alpha``, by fresh scan."""
-    d = d.as_exact()
-    xo, yo = d.unit(o)
-    alpha = Fraction(alpha)
+def _theta_of(pairs: _Pairs, delta: Delta) -> Fraction:
+    """Smallest input contraction: peer j scaled by t >= 1/beta_j uses t * alpha_j."""
+    rlo, rhi = delta.bounds
     best: Fraction | None = None
-    for xj, yj in zip(d.inputs, d.outputs):
-        if all(v <= alpha * w for v, w in zip(xj, xo)):
-            val = min(v / w for v, w in zip(yj, yo))
-            if best is None or val > best:
-                best = val
-    if best is None:
-        raise OutOfDomainError(f"no unit fits within {alpha!r} times the inputs")
+    for a, b in pairs:
+        lo = max(1 / b, rlo)
+        if rhi is not None and lo > rhi:
+            continue
+        for t in (lo,) if rhi is None else (lo, rhi):
+            best = t * a if best is None else min(best, t * a)
+    assert best is not None  # the reference itself is always a candidate
     return best
 
 
-def _curve_runs(
-    pairs: list[tuple[Fraction, Fraction]], *runs: Iterable[Fraction]
-) -> Iterator[tuple[Fraction, Fraction]]:
+def _phi_of(pairs: _Pairs, delta: Delta) -> Fraction:
+    """Largest output expansion: peer j scaled by t <= 1/alpha_j makes t * beta_j."""
+    rlo, rhi = delta.bounds
+    best: Fraction | None = None
+    for a, b in pairs:
+        hi = 1 / a if rhi is None else min(1 / a, rhi)
+        if hi < rlo:
+            continue
+        for t in (hi, rlo):
+            best = t * b if best is None else max(best, t * b)
+    assert best is not None
+    return best
+
+
+def oracle_theta(d: Dataset, delta: Delta, o: int) -> Fraction:
+    """Smallest input contraction, by exact interval enumeration."""
+    return _theta_of(_exact_pairs(d, o), delta)
+
+
+def oracle_phi(d: Dataset, delta: Delta, o: int) -> Fraction:
+    """Largest output expansion, by exact interval enumeration."""
+    return _phi_of(_exact_pairs(d, o), delta)
+
+
+def oracle_response_value(d: Dataset, o: int, alpha: Numeric) -> Fraction:
+    """Largest feasible output share at input share ``alpha``, by fresh scan."""
+    alpha = Fraction(alpha)
+    fits = [b for a, b in _exact_pairs(d, o) if a <= alpha]
+    if not fits:
+        raise OutOfDomainError(f"no unit fits within {alpha!r} times the inputs")
+    return max(fits)
+
+
+def _curve_runs(pairs: _Pairs, *runs: Iterable[Fraction]) -> Iterator[_Pair]:
     """Yield ``(p, max(b for a, b in pairs if a <= p))`` for the points of all runs.
 
     A running maximum over the pairs sorted by ``a``: linear while the
@@ -168,7 +161,7 @@ def _curve_runs(
 
 
 def _walk(
-    pairs: list[tuple[Fraction, Fraction]],
+    pairs: _Pairs,
     cfg: OracleConfig,
     steps: list[Fraction] | None = None,
     evaluate: Callable[[Fraction], Numeric] | None = None,
@@ -228,9 +221,7 @@ def oracle_sigma_minus(
     return _walk(_exact_pairs(d, o), cfg)[3]
 
 
-def oracle_system_feasible(d: Dataset, o: int, system: ScalingSystem) -> bool:
-    """Decide a scaling-system question from exact interval endpoints."""
-    pairs = _exact_pairs(d, o)
+def _feasible(pairs: _Pairs, system: ScalingSystem) -> bool:
     if system is ScalingSystem.RIGHT_STRICT:
         return any(max(a, 1) < b for a, b in pairs)
     if system is ScalingSystem.RIGHT_WEAK:
@@ -238,6 +229,11 @@ def oracle_system_feasible(d: Dataset, o: int, system: ScalingSystem) -> bool:
     if system is ScalingSystem.LEFT_WEAK:
         return any(a < 1 and a <= b for a, b in pairs)
     return any(a < 1 and a < b for a, b in pairs)
+
+
+def oracle_system_feasible(d: Dataset, o: int, system: ScalingSystem) -> bool:
+    """Decide a scaling-system question from exact interval endpoints."""
+    return _feasible(_exact_pairs(d, o), system)
 
 
 def random_dataset(seed: int, n: int, m: int, s: int) -> Dataset:
@@ -288,7 +284,7 @@ def _class(kind: type[Enum], above: bool, below: bool) -> Enum:
     return kind.IRS if above else kind.DRS if below else kind.CRS
 
 
-def _system_classes(d: Dataset, o: int) -> tuple[Enum, Enum]:
+def _system_classes(pairs: _Pairs) -> tuple[Enum, Enum]:
     """Right and left classes from the scaling systems, with no eps.
 
     A feasible strict system decides a side; an infeasible weak one decides
@@ -296,13 +292,10 @@ def _system_classes(d: Dataset, o: int) -> tuple[Enum, Enum]:
     The weak system is asked only when the strict one is infeasible.
     """
 
-    def feasible(system: ScalingSystem) -> bool:
-        return oracle_system_feasible(d, o, system)
-
-    right_up = feasible(ScalingSystem.RIGHT_STRICT)
-    right_down = not right_up and not feasible(ScalingSystem.RIGHT_WEAK)
-    left_down = feasible(ScalingSystem.LEFT_STRICT)
-    left_up = not left_down and not feasible(ScalingSystem.LEFT_WEAK)
+    right_up = _feasible(pairs, ScalingSystem.RIGHT_STRICT)
+    right_down = not right_up and not _feasible(pairs, ScalingSystem.RIGHT_WEAK)
+    left_down = _feasible(pairs, ScalingSystem.LEFT_STRICT)
+    left_up = not left_down and not _feasible(pairs, ScalingSystem.LEFT_WEAK)
     return (
         _class(rts.RightRts, right_up, right_down),
         _class(rts.LeftRts, left_up, left_down),
@@ -346,7 +339,7 @@ def _score_failures(
 
 
 def _curve_check(
-    d: Dataset, o: int, cfg: OracleConfig, ratios: bool
+    d: Dataset, o: int, pairs: _Pairs, cfg: OracleConfig, ratios: bool
 ) -> tuple[str | None, int, Fraction, RatioValue]:
     """Unit ``o``'s response check and, with ``ratios``, both its ratios.
 
@@ -356,7 +349,6 @@ def _curve_check(
     r = response.build_response(d, o)
     thresholds = [t for t, _ in r.steps]
     values = [v for _, v in r.steps]
-    pairs = _exact_pairs(d, o)
     start = min(pairs)[0]
     if thresholds != sorted(set(thresholds)) or values != sorted(set(values)):
         bad = f"non-canonical steps at {d.names[o]}"
@@ -370,14 +362,13 @@ def _curve_check(
 
 
 def _implication_failures(
-    d: Dataset, item: rts.RtsReport, tol: Tolerance
+    d: Dataset, item: rts.RtsReport, pairs: _Pairs, tol: Tolerance
 ) -> Iterator[str]:
     """A report's first self-consistency violation, then the growth facts of G-IRS."""
     name = d.names[item.reference]
     for bad in rts.check_consistency(item, tol)[:1]:
         yield f"{name}: {bad}"
     if item.grs is rts.GrsClass.IRS:
-        pairs = _exact_pairs(d, item.reference)
         if not any(a > 1 for a, _ in pairs):
             yield f"{name}: globally increasing with no larger peer"
         if any(b > 1 and not a > 1 for a, b in pairs):
@@ -391,18 +382,20 @@ def verify_dataset(
 
     The fast side is what a report prints: one :func:`classify_all` (scores,
     scale-size flags, ratios and classes) plus each unit's response function.
-    Each oracle value is computed once per unit: the scores per regime, one
-    curve walk for the response check and both ratios, the scaling systems.
+    Each oracle value is read once per unit off the unit's pairs: the scores
+    per regime, one curve walk for the response check and both ratios, the
+    scaling systems.
     The checks then compare with zero tolerance. Returns one result per named check.
     """
     d = d.as_exact()
     efficient = [o for o in range(d.n) if find_dominating(d, Delta.VRS, o) is None]
     items = rts.classify_all(d, tol)
     reports = [o for o in efficient if isinstance(items[o], rts.RtsReport)]
-    theta = [{reg: oracle_theta(d, reg, o) for reg in Delta} for o in range(d.n)]
-    phi = [{reg: oracle_phi(d, reg, o) for reg in Delta} for o in range(d.n)]
+    pairs = [_exact_pairs(d, o) for o in range(d.n)]
+    theta = [{reg: _theta_of(pairs[o], reg) for reg in Delta} for o in range(d.n)]
+    phi = [{reg: _phi_of(pairs[o], reg) for reg in Delta} for o in range(d.n)]
     # one walk per unit: the response check, and the ratios of efficient units
-    walks = [_curve_check(d, o, cfg, o in efficient) for o in range(d.n)]
+    walks = [_curve_check(d, o, pairs[o], cfg, o in efficient) for o in range(d.n)]
     swept = {o: walks[o][2:] for o in efficient}
     results: list[CheckResult] = []
 
@@ -471,7 +464,7 @@ def verify_dataset(
             ("right", "left"),
             (rts.RightRts, rts.LeftRts),
             (items[o].one_sided.right, items[o].one_sided.left),
-            _system_classes(d, o),
+            _system_classes(pairs[o]),
             swept[o],
         )
     ]
@@ -499,7 +492,7 @@ def verify_dataset(
             bad
             for item in items
             if isinstance(item, rts.RtsReport)
-            for bad in _implication_failures(d, item, tol)
+            for bad in _implication_failures(d, item, pairs[item.reference], tol)
         ],
         len(efficient),
     )

@@ -40,12 +40,16 @@ def _scale_interval(
     yj: tuple[Numeric, ...],
     x_cap: tuple[Numeric, ...],
     y_floor: tuple[Numeric, ...],
+    delta: Delta,
 ) -> tuple[Numeric, Numeric]:
-    """Scaling factors t with t*xj <= x_cap and t*yj >= y_floor, as [lo, hi]."""
-    lo = max(yv / yu for yv, yu in zip(y_floor, yj))
-    lo = lo if lo > 0 else 0
+    """Factors t admitted by ``delta`` with t*xj <= x_cap and t*yj >= y_floor.
+
+    Returned as [lo, hi]; the interval is empty when lo > hi.
+    """
+    rlo, rhi = delta.bounds
+    lo = max(rlo, max(yv / yu for yv, yu in zip(y_floor, yj)))
     hi = min(xv / xu for xv, xu in zip(x_cap, xj))
-    return lo, hi
+    return lo, hi if rhi is None else min(hi, rhi)
 
 
 def member(d: Dataset, delta: Delta, p: Point) -> bool:
@@ -53,12 +57,8 @@ def member(d: Dataset, delta: Delta, p: Point) -> bool:
     _check_point(d, p)
     if any(v < 0 for v in p.y):
         return False
-    rlo, rhi = delta.bounds
-    for j in range(d.n):
-        lo, hi = _scale_interval(d.inputs[j], d.outputs[j], p.x, p.y)
-        lo = max(lo, rlo)
-        if rhi is not None and hi > rhi:
-            hi = rhi
+    for xj, yj in zip(d.inputs, d.outputs):
+        lo, hi = _scale_interval(xj, yj, p.x, p.y, delta)
         if lo <= hi:
             return True
     return False
@@ -73,22 +73,14 @@ def find_dominating(d: Dataset, delta: Delta, o: int) -> int | None:
     """
     check_index(d, o)
     xo, yo = d.inputs[o], d.outputs[o]
-    rlo, rhi = delta.bounds
-    for j in range(d.n):
-        xj, yj = d.inputs[j], d.outputs[j]
-        lo, hi = _scale_interval(xj, yj, xo, yo)
-        lo = max(lo, rlo)
-        if rhi is not None and hi > rhi:
-            hi = rhi
+    for j, (xj, yj) in enumerate(zip(d.inputs, d.outputs)):
+        lo, hi = _scale_interval(xj, yj, xo, yo, delta)
         if lo > hi:
             continue
         if lo < hi:
             # interval of scalings, at most one of which reproduces o exactly
             return j
-        t = lo
-        if any(t * v != w for v, w in zip(xj, xo)) or any(
-            t * v != w for v, w in zip(yj, yo)
-        ):
+        if any(lo * v != w for v, w in zip(xj + yj, xo + yo)):
             return j
     return None
 

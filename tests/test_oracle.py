@@ -185,6 +185,15 @@ class TestVerification:
     def test_float_input_is_verified_in_exact_mode(self, stair_float):
         assert all(r.passed for r in f.verify_dataset(stair_float, cfg=FAST_CFG))
 
+    @pytest.mark.parametrize("d", [make_staircase(), with_dominated()])
+    def test_builds_each_units_pairs_once(self, monkeypatch, d):
+        right, calls = oracle._exact_pairs, []
+        monkeypatch.setattr(
+            oracle, "_exact_pairs", lambda d, o: calls.append(o) or right(d, o)
+        )
+        f.verify_dataset(d, cfg=FAST_CFG)
+        assert sorted(calls) == list(range(d.n))
+
     def test_random_batch_passes(self):
         results = f.verify_random(4, seed=7, cfg=FAST_CFG)
         assert all(r.passed for r in results)
@@ -221,6 +230,21 @@ def _d_steps(change):
 
 def _nudge_score(sc):
     return dataclasses.replace(sc, value=sc.value + TINY)
+
+
+def _nudge_d_alpha_of_a(rt):
+    if rt.reference != 0:
+        return rt
+    alpha = rt.alpha[:3] + (rt.alpha[3] + TINY,) + rt.alpha[4:]
+    return dataclasses.replace(rt, alpha=alpha)
+
+
+def _nudge_d_beta_of_a(pairs):
+    """D's beta in unit A's pairs, the one list whose first pair, A's own, is (1, 1)."""
+    if pairs[0] != (1, 1):
+        return pairs
+    a, b = pairs[3]
+    return pairs[:3] + [(a, b + TINY)] + pairs[4:]
 
 
 def _replace_fields(unit, **changes):
@@ -287,6 +311,8 @@ FAULT_DIGESTS = {
     "repeated-step": (3, "e330eb43fbe6ded1be9da3c41cdb6f1828cfee319107d00f55304b926576e7f2"),
     "dropped-first-step": (3, "9dd12aeb57b5dad38924a6637f689ad0cf3ca3c5325982ad44cdd08f0d289c7b"),
     "step-below-domain": (3, "84346ed4a11d2ee56e6d2f26bcdd931dcc22dc151dc4cf219b32d166d4554eba"),
+    "ratio_table": (3, "081c929e4d7e1c3d2a1379505368b7addfabcf1c5cfd07fd9810cfcb12b6f808"),
+    "_exact_pairs": (3, "8eb0de639105ebd7939b94a9df43f45b6383a1be45a83a6cfe4e3fab95f94789"),
 }
 
 
@@ -321,6 +347,9 @@ class TestPlantedFaults:
             (response, "build_response", _nudge_last_step, "response-curve-matches-sweep"),
             (efficiency, "_theta", _nudge_score, "radial-scores-match-enumeration"),
             (efficiency, "_phi", _nudge_score, "radial-scores-match-enumeration"),
+            # one fault on each side of the per-unit ratio table
+            (rts, "ratio_table", _nudge_d_alpha_of_a, "radial-scores-match-enumeration"),
+            (oracle, "_exact_pairs", _nudge_d_beta_of_a, "radial-scores-match-enumeration"),
         ],
     )
     def test_check_fails_and_cli_exits_3(
