@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -413,6 +414,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache  # one parser per process; each parse gets a fresh namespace
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="fdhscale",

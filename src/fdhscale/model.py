@@ -242,7 +242,20 @@ class RatioTable:
 def ratio_table(d: Dataset, o: int) -> RatioTable:
     """Ratio table of dataset ``d`` against reference unit ``o``."""
     check_index(d, o)
-    xo, yo = d.inputs[o], d.outputs[o]
-    alpha = tuple(max(xj / xr for xj, xr in zip(row, xo)) for row in d.inputs)
-    beta = tuple(min(yj / yr for yj, yr in zip(row, yo)) for row in d.outputs)
+    return _table(o, d.inputs, d.outputs, d.inputs[o], d.outputs[o])
+
+
+def _table(o: int, inputs, outputs, xo, yo) -> RatioTable:
+    """Table of the rows ``inputs``/``outputs`` against the vectors ``xo``/``yo``.
+
+    Built a column at a time: one list of quotients per column, then the
+    worst quotient of each row across the lists, in column order.
+    """
+    alpha = _worst(max, [[v / r for v in col] for col, r in zip(zip(*inputs), xo)])
+    beta = _worst(min, [[v / r for v in col] for col, r in zip(zip(*outputs), yo)])
     return RatioTable(o, alpha, beta)
+
+
+def _worst(pick, cols: list[list[Numeric]]) -> tuple[Numeric, ...]:
+    # map(pick, col) would call pick on a single number, which is no iterable
+    return tuple(map(pick, *cols)) if len(cols) > 1 else tuple(cols[0])

@@ -19,9 +19,9 @@ from typing import Mapping, Union
 
 from .efficiency import EfficiencyScores, Score, _at_mpss, _scores
 from .errors import UnclassifiableError
-from .model import Dataset, Delta, Numeric, Tolerance, ratio_table
+from .model import Dataset, Delta, Numeric, Tolerance, _table, ratio_table
 from .scale import RatioValue, ScaleRatios, _scale_ratios
-from .technology import dominating_peer
+from .technology import _dominates, dominating_peer
 
 
 class RightRts(Enum):
@@ -147,8 +147,62 @@ def classify_unit(
 def classify_all(
     d: Dataset, tol: Tolerance = Tolerance()
 ) -> list[Union[RtsReport, InefficientUnit]]:
-    """Classify every unit, in dataset order, with :func:`classify_unit`."""
-    return [classify_unit(d, o, tol) for o in range(d.n)]
+    """Classify every unit, in dataset order, exactly as :func:`classify_unit` does.
+
+    Frontier first: each efficient unit goes through :func:`classify_unit`.
+    A dominated unit reads its scores off a table against a pool of peers
+    only, the efficient units and the dominated units that could tie them,
+    and its witness off a scan of every peer in index order
+    (docs/derivations.md, "Frontier first").
+    """
+    frontier, pool = _frontier_pool(d)
+    px, py = [d.inputs[j] for j in pool], [d.outputs[j] for j in pool]
+    out: list[Union[RtsReport, InefficientUnit]] = []
+    for o in range(d.n):
+        if o in frontier:
+            out.append(classify_unit(d, o, tol))
+            continue
+        pruned = _scores(_table(o, px, py, d.inputs[o], d.outputs[o]))
+        th, ph = (  # witnesses index the pool; map them back to the dataset
+            {reg: Score(s.value, pool[s.witness], s.delta) for reg, s in side.items()}
+            for side in (pruned.theta, pruned.phi)
+        )
+        w = next(j for j in range(d.n) if _dominates(d, j, o))
+        scores, mpss = EfficiencyScores(o, th, ph), _at_mpss(th[Delta.CRS], tol)
+        out.append(InefficientUnit(o, th[Delta.VRS].value, w, scores, mpss))
+    return out
+
+
+# A dominated peer ties a unit dominating it only with an input or an output
+# within a relative 2**-50 of that unit's (docs/derivations.md, "Frontier first").
+_TIE_SLACK = 2**40
+
+
+def _frontier_pool(d: Dataset) -> tuple[set[int], list[int]]:
+    """The efficient units, and the sorted pool of them and their possible ties.
+
+    One sort-filter skyline pass: the key ``(x, -y)`` puts every dominator
+    strictly before each unit it dominates, so a unit is efficient exactly
+    when no efficient unit before it dominates it. A dominated unit joins
+    the pool when it precedes, by index, every efficient unit dominating it
+    and shares an input or an output with each of them to within the slack.
+    """
+    frontier, ties = [], []
+    order = sorted(range(d.n), key=lambda j: (d.inputs[j], [-v for v in d.outputs[j]]))
+    for k in order:
+        above = [e for e in frontier if _dominates(d, e, k)]
+        if not above:
+            frontier.append(k)
+        elif all(k < e and _near(d, e, k) for e in above):
+            ties.append(k)
+    return set(frontier), sorted(frontier + ties)
+
+
+def _near(d: Dataset, e: int, k: int) -> bool:
+    xe, ye, xk, yk = d.inputs[e], d.outputs[e], d.inputs[k], d.outputs[k]
+    return any(b - a <= a / _TIE_SLACK for a, b in zip(xe, xk)) or any(
+        a - b <= b / _TIE_SLACK for a, b in zip(ye, yk)
+    )
 
 
 def check_consistency(report: RtsReport, tol: Tolerance = Tolerance()) -> list[str]:

@@ -11,6 +11,7 @@ geometry.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import ge, le
 
 from .errors import DimensionMismatchError
 from .model import Dataset, Delta, Numeric, RatioTable, check_index
@@ -102,3 +103,8 @@ def dominating_peer(d: Dataset, rt: RatioTable) -> int | None:
             return j
     return None
 
+
+def _dominates(d: Dataset, j: int, o: int) -> bool:
+    """The test ``alpha[j] <= 1 <= beta[j]`` of o's table, read off the raw data."""
+    xj, yj, xo, yo = d.inputs[j], d.outputs[j], d.inputs[o], d.outputs[o]
+    return all(map(le, xj, xo)) and all(map(ge, yj, yo)) and (xj != xo or yj != yo)

@@ -592,6 +592,29 @@ class TestEntryPoints:
         assert proc.returncode == 0
         assert proc.stdout == RESPONSE_B
 
+    def test_usage_error_then_valid_command_in_one_process(self, stair_csv, capsys):
+        # main builds its parser once per process; a refused command line must
+        # leave nothing behind that changes the next call
+        valid = ["classify", "--input", str(stair_csv)]
+        calls = ([*valid, "--eps"], valid)
+        in_process = []
+        for argv in calls:
+            code = f.main(argv)
+            in_process.append((code, *capsys.readouterr()))
+        src = str(Path(f.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        fresh = []
+        for argv in calls:
+            proc = subprocess.run(
+                [sys.executable, "-m", "fdhscale", *argv],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "PYTHONPATH": path},
+            )
+            fresh.append((proc.returncode, proc.stdout, proc.stderr))
+        assert [code for code, _, _ in in_process] == [1, 0]
+        assert in_process == fresh
+
     def test_console_script(self, stair_csv):
         exe = shutil.which("fdhscale")
         assert exe, "console script not installed"

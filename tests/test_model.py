@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -161,6 +162,25 @@ class TestRatioTable:
     def test_index_is_checked(self, stair):
         with pytest.raises(f.IndexOutOfRangeError):
             f.ratio_table(stair, 4)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("m, s", [(1, 1), (1, 3), (3, 1), (2, 2)])
+    def test_column_wise_table_equals_row_wise_definition(self, m, s, exact):
+        # one column has no second list to compare across, so it takes its own path
+        rng = random.Random(f"columns:{m}:{s}")
+        n = 12
+        d = f.validate_dataset(
+            [f"U{k}" for k in range(n)],
+            [[rng.uniform(0.1, 10) for _ in range(m)] for _ in range(n)],
+            [[rng.choice([1.0, 2.0, rng.uniform(0.1, 10)]) for _ in range(s)] for _ in range(n)],
+        )
+        d = d.as_exact() if exact else d
+        for o in range(n):
+            xo, yo = d.inputs[o], d.outputs[o]
+            t = f.ratio_table(d, o)
+            assert t.alpha == tuple(max(a / b for a, b in zip(row, xo)) for row in d.inputs)
+            assert t.beta == tuple(min(a / b for a, b in zip(row, yo)) for row in d.outputs)
+            assert {type(v) for v in t.alpha + t.beta} == {F if exact else float}
 
 
 class TestEnumsAndTolerance:

@@ -20,6 +20,7 @@ import fdhscale as f
 from fdhscale import Delta, ParseError, Point, RtsReport, ValueSpreadError
 from fdhscale.io_cli import _cell, _digest
 from fdhscale.oracle import _curve_runs
+from fdhscale.rts import _frontier_pool
 from fdhscale.technology import dominating_peer
 
 DELTAS = tuple(Delta)
@@ -118,6 +119,72 @@ def test_table_dominance_matches_interval_test(d):
     for o in range(d.n):
         rt = f.ratio_table(d, o)
         assert dominating_peer(d, rt) == f.find_dominating(d, Delta.VRS, o)
+
+
+@st.composite
+def tie_heavy_datasets(draw, exact):
+    """Rows derived from earlier rows: duplicates, copies scaled by k, and
+    copies with only the outputs or only the inputs scaled (by 2, 3, 1/2 or
+    one ulp either way), then shuffled. A copy of either of the last two
+    kinds dominates or is dominated by its source while keeping every
+    input or every output, so the two often tie on scores, and the
+    dominated one often comes first by index."""
+    n = draw(st.integers(2, 8))
+    m = draw(st.integers(1, 2))
+    s = draw(st.integers(1, 2))
+    pool = st.sampled_from(NEAR_ONE + (2.0, 3.0))
+    factor = st.sampled_from([0.5, 1.0 - 2**-53, 2.0, 1.0 + 2**-52, 3.0])
+    inputs = [[draw(pool) for _ in range(m)]]
+    outputs = [[draw(pool) for _ in range(s)]]
+    for _ in range(n - 1):
+        kind = draw(st.sampled_from(["fresh", "duplicate", "copy", "outputs", "inputs"]))
+        k = draw(st.integers(0, len(inputs) - 1))
+        t = 1.0 if kind == "duplicate" else draw(factor)
+        if kind == "fresh":
+            inputs.append([draw(pool) for _ in range(m)])
+            outputs.append([draw(pool) for _ in range(s)])
+        else:
+            inputs.append([v * (1 if kind == "outputs" else t) for v in inputs[k]])
+            outputs.append([v * (1 if kind == "inputs" else t) for v in outputs[k]])
+    order = draw(st.permutations(range(n)))
+    d = f.validate_dataset(
+        [f"U{i + 1}" for i in range(n)],
+        [inputs[k] for k in order],
+        [outputs[k] for k in order],
+    )
+    return d.as_exact() if exact else d
+
+
+TIE_DATA = (
+    near_tie_datasets(exact=False),
+    near_tie_datasets(exact=True),
+    tie_heavy_datasets(exact=False),
+    tie_heavy_datasets(exact=True),
+)
+
+
+@given(st.one_of(*TIE_DATA))
+@settings(max_examples=150, deadline=None)
+def test_skyline_finds_exactly_the_undominated_units(d):
+    frontier, pool = _frontier_pool(d)
+    assert frontier == {o for o in range(d.n) if f.find_dominating(d, Delta.VRS, o) is None}
+    assert pool == sorted(set(pool)) and frontier <= set(pool)
+
+
+def _each_unit(classify):
+    try:
+        return classify()
+    except f.UnclassifiableError as exc:
+        return str(exc)
+
+
+@given(st.one_of(*TIE_DATA))
+@settings(max_examples=400, deadline=None)
+def test_frontier_first_classify_all_equals_classifying_each_unit(d):
+    got = _each_unit(lambda: f.classify_all(d))
+    want = _each_unit(lambda: [f.classify_unit(d, o) for o in range(d.n)])
+    # every field of every unit, each score's witness and scaling included
+    assert got == want
 
 
 @given(datasets(), st.integers(0, 10**6))
