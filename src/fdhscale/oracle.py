@@ -5,17 +5,17 @@ of a unit is read off the oracle's own list of pairs: every peer's worst
 input and output ratio against the unit. Scores come from enumerating, per
 peer, the interval of scaling factors the pair admits, and evaluating the
 objective at its endpoints. Scale ratios are the extreme secant slopes
-through (1, 1) of the response curve, read off one walk per unit over
-structural points (every step threshold, midpoints between them) plus a
-grid of G points per unit, so the grid corroborates while the structural
-points pin the exact extremum. Feasibility of the strict and weak scaling
-systems is decided from exact interval endpoints, never by sampling.
+through (1, 1) of the response curve, read at the pairs' own thresholds,
+where both extremes sit (docs/derivations.md). The response check compares
+the curves at the fast thresholds, their midpoints and a grid of G points
+per unit. Feasibility of the strict and weak scaling systems is decided
+from exact interval endpoints, never by sampling.
 
-The walk evaluates the curve by merging its ascending runs of points
-against the peers sorted by input ratio, O(n log n + G) instead of a
-rescan of all n peers per point; the fast path's dict and bisection share
-no code with it. ``verify_dataset`` builds each unit's pairs once and
-reads every oracle value off them, with one walk, before its checks.
+The curve is evaluated by merging ascending runs of points against the
+peers sorted by input ratio, O(n log n + G) instead of a rescan of all n
+peers per point; the fast path's dict and bisection share no code with it.
+``verify_dataset`` builds each unit's pairs once and reads every oracle
+value off them before its checks.
 
 Every function converts the dataset to ``fractions.Fraction`` first, so
 results are exact relative to the stored values.
@@ -160,65 +160,72 @@ def _curve_runs(pairs: _Pairs, *runs: Iterable[Fraction]) -> Iterator[_Pair]:
         yield p, best
 
 
+def _ratios(pairs: _Pairs) -> tuple[Fraction, RatioValue]:
+    """Both scale ratios of an efficient unit, read at its pairs' own thresholds.
+
+    sigma_plus is the largest secant slope ``(v - 1)/(p - 1)`` through
+    (1, 1) over the thresholds p > 1, clamped at 0; sigma_minus is the
+    smallest over p < 1, ``UNBOUNDED`` with none. The unit must be
+    efficient: only then does its curve stay under 1 below 1, so that each
+    step's extreme slope sits at the step's left end, a threshold, and no
+    other point of the curve can move a ratio (docs/derivations.md).
+    """
+    at_own = list(_curve_runs(pairs, sorted({a for a, _ in pairs})))
+    plus = max(chain([Fraction(0)], ((v - 1) / (p - 1) for p, v in at_own if p > 1)))
+    minus = min(((v - 1) / (p - 1) for p, v in at_own if p < 1), default=UNBOUNDED)
+    return plus, minus
+
+
 def _walk(
     pairs: _Pairs,
     cfg: OracleConfig,
-    steps: list[Fraction] | None = None,
-    evaluate: Callable[[Fraction], Numeric] | None = None,
-    ratios: bool = True,
-) -> tuple[Fraction | None, int, Fraction, RatioValue]:
-    """One walk of the exact response curve, read three ways.
+    steps: list[Fraction],
+    evaluate: Callable[[Fraction], Numeric],
+) -> tuple[Fraction | None, int]:
+    """Compare ``evaluate`` with the exact response curve, up to the first miss.
 
-    The walk visits ``steps`` (ascending, none below the smallest alpha; by
-    default the pairs' own thresholds), their midpoints and a grid of
-    ``cfg.grid_steps`` steps from the smallest alpha to
-    ``max(10 * largest alpha, 2)``. Returns the first
-    point where ``evaluate`` differs from the curve (or ``None``), the points
-    compared up to it, and, with ``ratios``, the extreme secant slopes through
-    (1, 1): sigma_plus above 1, clamped at 0, and sigma_minus below 1,
-    ``UNBOUNDED`` with no point there (else 0 and ``UNBOUNDED``). The pairs'
-    own thresholds join the slopes without being compared, so the ratios
-    never depend on ``steps``.
+    The walk visits ``steps`` (ascending, none below the smallest alpha),
+    their midpoints and a grid of ``cfg.grid_steps`` steps from the smallest
+    alpha to ``max(10 * largest alpha, 2)``. Returns the first point where
+    ``evaluate`` differs from the curve (or ``None``) and the points compared
+    up to it.
     """
-    own = sorted({a for a, _ in pairs})
-    steps = own if steps is None else steps
-    spacing = (max(10 * own[-1], Fraction(2)) - own[0]) / cfg.grid_steps
+    lo, hi = min(pairs)[0], max(pairs)[0]
+    spacing = (max(10 * hi, Fraction(2)) - lo) / cfg.grid_steps
     curve = _curve_runs(
         pairs,
         steps,
         ((u + v) / 2 for u, v in zip(steps, steps[1:])),
-        accumulate(repeat(spacing, cfg.grid_steps), initial=own[0]),
+        accumulate(repeat(spacing, cfg.grid_steps), initial=lo),
     )
-    miss, count, plus, minus = None, 0, Fraction(0), UNBOUNDED
+    count = 0
     for p, v in curve:
-        if evaluate is not None and miss is None:
-            count += 1
-            if evaluate(p) != v:
-                miss = p
-        if ratios and p > 1:
-            plus = max(plus, (v - 1) / (p - 1))
-        elif ratios and p < 1:
-            minus = min(minus, (v - 1) / (p - 1))
-    at_own = list(_curve_runs(pairs, own)) if ratios else []
-    plus = max(chain([plus], ((b - 1) / (a - 1) for a, b in at_own if a > 1)))
-    minus = min(chain([minus], ((v - 1) / (p - 1) for p, v in at_own if p < 1)))
-    return miss, count, plus, minus
+        count += 1
+        if evaluate(p) != v:
+            return p, count
+    return None, count
 
 
 def oracle_sigma_plus(
     d: Dataset, o: int, cfg: OracleConfig = OracleConfig()
 ) -> Fraction:
-    """Supremum of secant slopes above the observed scale (0 when flat above 1)."""
+    """Supremum of secant slopes above the observed scale (0 when flat above 1).
+
+    ``cfg`` is unused: no grid is walked, but ``perfbench/checker.py`` passes one.
+    """
     _require_efficient(d, o)
-    return _walk(_exact_pairs(d, o), cfg)[2]
+    return _ratios(_exact_pairs(d, o))[0]
 
 
 def oracle_sigma_minus(
     d: Dataset, o: int, cfg: OracleConfig = OracleConfig()
 ) -> RatioValue:
-    """Infimum of secant slopes below the observed scale (``UNBOUNDED`` with none)."""
+    """Infimum of secant slopes below the observed scale (``UNBOUNDED`` with none).
+
+    ``cfg`` is unused: no grid is walked, but ``perfbench/checker.py`` passes one.
+    """
     _require_efficient(d, o)
-    return _walk(_exact_pairs(d, o), cfg)[3]
+    return _ratios(_exact_pairs(d, o))[1]
 
 
 def _feasible(pairs: _Pairs, system: ScalingSystem) -> bool:
@@ -339,26 +346,24 @@ def _score_failures(
 
 
 def _curve_check(
-    d: Dataset, o: int, pairs: _Pairs, cfg: OracleConfig, ratios: bool
-) -> tuple[str | None, int, Fraction, RatioValue]:
-    """Unit ``o``'s response check and, with ``ratios``, both its ratios.
+    d: Dataset, o: int, pairs: _Pairs, cfg: OracleConfig
+) -> tuple[str | None, int]:
+    """Unit ``o``'s response check.
 
-    Returns the first disagreement or ``None``, the number of points compared
-    up to it, sigma_plus and sigma_minus, all from one :func:`_walk`.
+    Returns the first disagreement or ``None``, and the number of points
+    compared up to it.
     """
     r = response.build_response(d, o)
     thresholds = [t for t, _ in r.steps]
     values = [v for _, v in r.steps]
     start = min(pairs)[0]
     if thresholds != sorted(set(thresholds)) or values != sorted(set(values)):
-        bad = f"non-canonical steps at {d.names[o]}"
-    elif r.alpha_min != start:
-        bad = f"domain of {d.names[o]} starts at {r.alpha_min!r}, not {start!r}"
-    else:
-        miss, count, plus, minus = _walk(pairs, cfg, thresholds, r.evaluate, ratios)
-        bad = None if miss is None else f"curve mismatch at {d.names[o]}, alpha={miss!r}"
-        return bad, count, plus, minus
-    return (bad, 0) + _walk(pairs, cfg)[2:]
+        return f"non-canonical steps at {d.names[o]}", 0
+    if r.alpha_min != start:
+        return f"domain of {d.names[o]} starts at {r.alpha_min!r}, not {start!r}", 0
+    miss, count = _walk(pairs, cfg, thresholds, r.evaluate)
+    bad = None if miss is None else f"curve mismatch at {d.names[o]}, alpha={miss!r}"
+    return bad, count
 
 
 def _implication_failures(
@@ -383,8 +388,8 @@ def verify_dataset(
     The fast side is what a report prints: one :func:`classify_all` (scores,
     scale-size flags, ratios and classes) plus each unit's response function.
     Each oracle value is read once per unit off the unit's pairs: the scores
-    per regime, one curve walk for the response check and both ratios, the
-    scaling systems.
+    per regime, one curve walk for the response check, both ratios at the
+    pairs' own thresholds, the scaling systems.
     The checks then compare with zero tolerance. Returns one result per named check.
     """
     d = d.as_exact()
@@ -394,9 +399,8 @@ def verify_dataset(
     pairs = [_exact_pairs(d, o) for o in range(d.n)]
     theta = [{reg: _theta_of(pairs[o], reg) for reg in Delta} for o in range(d.n)]
     phi = [{reg: _phi_of(pairs[o], reg) for reg in Delta} for o in range(d.n)]
-    # one walk per unit: the response check, and the ratios of efficient units
-    walks = [_curve_check(d, o, pairs[o], cfg, o in efficient) for o in range(d.n)]
-    swept = {o: walks[o][2:] for o in efficient}
+    walks = [_curve_check(d, o, pairs[o], cfg) for o in range(d.n)]
+    swept = {o: _ratios(pairs[o]) for o in efficient}
     results: list[CheckResult] = []
 
     def run(name: str, failures: list[str], count: int) -> None:
@@ -433,8 +437,8 @@ def verify_dataset(
     )
     run(
         "response-curve-matches-sweep",
-        [bad for bad, _, _, _ in walks if bad],
-        sum(count for _, count, _, _ in walks),
+        [bad for bad, _ in walks if bad],
+        sum(count for _, count in walks),
     )
 
     marked = [

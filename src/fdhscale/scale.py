@@ -8,13 +8,13 @@ The minimum decremental ratio is the mirror under shrinking, over peers
 with an input ratio below 1 - eps, and the symbolic UNBOUNDED with none.
 Both equal the extremal slopes of secants of the response function
 through (1, 1); docs/derivations.md carries the argument, and the oracle
-module confirms both against one walk of the response curve.
+module confirms both at the response curve's own thresholds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import Union
 
 from .errors import InefficientUnitError
 from .model import Dataset, Numeric, RatioTable, Tolerance, ratio_table
@@ -63,31 +63,26 @@ UNBOUNDED = UnboundedRatio()
 RatioValue = Union[Numeric, UnboundedRatio]
 
 
-class SigmaResult(NamedTuple):
-    value: RatioValue
-    witness: int | None
-
-
-def _sigma_plus(rt: RatioTable, tol: Tolerance) -> SigmaResult:
+def _sigma_plus(rt: RatioTable, tol: Tolerance) -> tuple[RatioValue, int | None]:
     pairs, floor = enumerate(zip(rt.alpha, rt.beta)), 1 + tol.eps
     best = max(
         (((b - 1) / (a - 1), -j) for j, (a, b) in pairs if a > floor),
         default=None,
     )
     if best is None or best[0] <= 0:
-        return SigmaResult(0, None)
-    return SigmaResult(best[0], -best[1])
+        return 0, None
+    return best[0], -best[1]
 
 
-def _sigma_minus(rt: RatioTable, tol: Tolerance) -> SigmaResult:
+def _sigma_minus(rt: RatioTable, tol: Tolerance) -> tuple[RatioValue, int | None]:
     pairs, ceiling = enumerate(zip(rt.alpha, rt.beta)), 1 - tol.eps
     best = min(
         (((b - 1) / (a - 1), j) for j, (a, b) in pairs if a < ceiling),
         default=None,
     )
     if best is None:
-        return SigmaResult(UNBOUNDED, None)
-    return SigmaResult(*best)
+        return UNBOUNDED, None
+    return best
 
 
 @dataclass(frozen=True)
@@ -118,12 +113,6 @@ def scale_ratios(d: Dataset, o: int, tol: Tolerance = Tolerance()) -> ScaleRatio
 
 
 def _scale_ratios(rt: RatioTable, tol: Tolerance) -> ScaleRatios:
-    up = _sigma_plus(rt, tol)
-    down = _sigma_minus(rt, tol)
-    return ScaleRatios(
-        reference=rt.reference,
-        sigma_plus=up.value,
-        sigma_minus=down.value,
-        plus_witness=up.witness,
-        minus_witness=down.witness,
-    )
+    plus, plus_witness = _sigma_plus(rt, tol)
+    minus, minus_witness = _sigma_minus(rt, tol)
+    return ScaleRatios(rt.reference, plus, minus, plus_witness, minus_witness)

@@ -35,8 +35,7 @@ def test_all_has_no_duplicates_and_names_real_attributes():
 def test_removed_names_are_gone(module, name):
     assert name not in f.__all__
     assert not hasattr(f, name)
-    if name != "SigmaResult":  # still the private result type of the closed forms
-        assert not hasattr(getattr(f, module), name)
+    assert not hasattr(getattr(f, module), name)
 
 
 def test_readme_python_api_block_runs(stair_csv):

@@ -78,17 +78,14 @@ class TestRatioOracle:
                 assert ratios.sigma_minus == f.oracle_sigma_minus(d, o, FAST_CFG)
 
     def test_walk_ratios_ignore_the_step_list_and_the_compared_values(self, stair):
-        # D's smallest slope below 1 sits at its first threshold, 1/6, where
-        # the grid starts but the step lists below put no step; A's largest
-        # above 1 sits at 6, which neither its step list nor the grid reaches
+        # D's smallest slope below 1 sits at its first threshold, 1/6; A's
+        # largest above 1 sits at 6: both are read at the pairs' thresholds
         d_pairs, a_pairs = oracle._exact_pairs(stair, 3), oracle._exact_pairs(stair, 0)
-        for steps in (None, [F(1, 2), F(5, 6), F(1)], [F(1)]):
-            assert oracle._walk(d_pairs, FAST_CFG, steps)[2:] == (F(0), F(66, 65))
-        assert oracle._walk(a_pairs, FAST_CFG, [F(1)])[2:] == (F(11, 10), UNBOUNDED)
-        # a wrong curve to compare with is reported and moves neither ratio
+        assert oracle._ratios(d_pairs) == (F(0), F(66, 65))
+        assert oracle._ratios(a_pairs) == (F(11, 10), UNBOUNDED)
+        # a wrong curve to compare with is reported at its first point
         steps = [F(1, 6), F(1, 2), F(5, 6), F(1)]
-        got = oracle._walk(d_pairs, FAST_CFG, steps, lambda p: F(1))
-        assert got == (F(1, 6), 1, F(0), F(66, 65))
+        assert oracle._walk(d_pairs, FAST_CFG, steps, lambda p: F(1)) == (F(1, 6), 1)
 
     def test_grid_starts_at_the_smallest_input_ratio(self, stair):
         # a step list that starts at 1 still has D's curve compared from 1/6 on
@@ -99,7 +96,31 @@ class TestRatioOracle:
             [F(1)],
             lambda p: curve(p) if p >= F(1, 2) else F(0),
         )
-        assert got == (F(1, 6), 2, F(0), F(66, 65))
+        assert got == (F(1, 6), 2)
+
+    def test_no_point_of_the_curve_check_moves_a_ratio(self):
+        # the slope at any point the response check walks (fast steps, their
+        # midpoints, a 100-step grid) ties or loses to the threshold ratios
+        above = below = 0
+        for seed in range(40):
+            d = f.random_dataset(2000 + seed, 5 + seed % 4, 2, 2)
+            for o in range(d.n):
+                if f.find_dominating(d, Delta.VRS, o) is not None:
+                    continue
+                pairs = oracle._exact_pairs(d, o)
+                plus, minus = oracle._ratios(pairs)
+                steps = [t for t, _ in response.build_response(d, o).steps]
+                lo, hi = min(pairs)[0], max(10 * max(pairs)[0], F(2))
+                grid = [lo + (hi - lo) * k / 100 for k in range(101)]
+                mids = [(u + v) / 2 for u, v in zip(steps, steps[1:])]
+                for p, v in oracle._curve_runs(pairs, steps, mids, grid):
+                    if p > 1:
+                        above += 1
+                        assert (v - 1) / (p - 1) <= plus, (seed, o, p)
+                    elif p < 1:
+                        below += 1
+                        assert (v - 1) / (p - 1) >= minus, (seed, o, p)
+        assert above and below
 
     def test_dominated_unit_rejected(self):
         d = with_dominated("E", x=(4,), y=(4,))
@@ -211,7 +232,8 @@ TINY = F(1, 10**9)
 
 
 def _nudge_sigma(r):
-    return r if r.value is UNBOUNDED else r._replace(value=r.value + TINY)
+    value, witness = r
+    return r if value is UNBOUNDED else (value + TINY, witness)
 
 
 def _nudge_last_step(r):
@@ -390,8 +412,8 @@ class TestPlantedFaults:
     def test_wrong_steps_fail_the_curve_and_leave_the_ratios_exact(
         self, capsys, monkeypatch, stair_csv, fault, change
     ):
-        # the ratio checks read their oracle values off the same walk as the
-        # curve check, so a wrong step list must not move them
+        # the ratio checks read their oracle values at the pairs' own
+        # thresholds, so a wrong step list must not move them
         right = response.build_response
         monkeypatch.setattr(
             response, "build_response", lambda d, o: _d_steps(change)(right(d, o))
