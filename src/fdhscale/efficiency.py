@@ -2,15 +2,17 @@
 
 The scores come from closed forms over the ratio table rather than from a
 solver: with one active unit the inner problem is one-dimensional in the
-scaling factor, whose optimum sits at an interval endpoint. The oracle
-module re-derives every score by brute-force interval enumeration, and the
-test suite holds the two paths equal. docs/derivations.md spells out the
-algebra behind each candidate.
+scaling factor, whose optimum sits at an interval endpoint. Per
+orientation, three reductions over the table give all four regimes. The
+oracle module re-derives every score by brute-force interval enumeration,
+and the test suite holds the two paths equal (docs/derivations.md).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import attrgetter, ge, le, not_, truediv
 from typing import Mapping
 
 from .model import (
@@ -38,20 +40,12 @@ def theta(d: Dataset, delta: Delta, o: int) -> Score:
 
     Always in (0, 1]; the unit itself guarantees feasibility.
     """
-    return _theta(ratio_table(d, o), delta)
+    return _thetas(ratio_table(d, o))[delta]
 
 
-def _theta(rt: RatioTable, delta: Delta) -> Score:
-    # Per peer, the smallest admitted scaling t = max(lo, 1/beta_j), which must
-    # not pass hi; the reference row always qualifies, so the min has an item.
-    lo, hi = delta.bounds
-    value, j = min(
-        (a if lo == 1 and b >= 1 else a / b, j)
-        for j, (a, b) in enumerate(zip(rt.alpha, rt.beta))
-        if hi is None or b >= 1
-    )
-    b = rt.beta[j]
-    return Score(value, j, 1 if lo == 1 and b >= 1 else 1 / b)
+def _thetas(rt: RatioTable) -> dict[Delta, Score]:
+    vrs, nirs, ndrs, crs = _side(min, rt.alpha, rt.beta, ge)
+    return {Delta.VRS: vrs, Delta.CRS: crs, Delta.NIRS: nirs, Delta.NDRS: ndrs}
 
 
 def phi(d: Dataset, delta: Delta, o: int) -> Score:
@@ -59,27 +53,17 @@ def phi(d: Dataset, delta: Delta, o: int) -> Score:
 
     Always finite and >= 1.
     """
-    return _phi(ratio_table(d, o), delta)
+    return _phis(ratio_table(d, o))[delta]
 
 
-def _phi(rt: RatioTable, delta: Delta) -> Score:
-    # Per peer, the largest admitted scaling t = min(hi, 1/alpha_j), which must
-    # not fall below lo; -j makes the lowest index win ties, as in _theta.
-    lo, hi = delta.bounds
-    value, neg_j = max(
-        (b if hi == 1 and a <= 1 else b / a, -j)
-        for j, (a, b) in enumerate(zip(rt.alpha, rt.beta))
-        if lo != 1 or a <= 1
-    )
-    a = rt.alpha[-neg_j]
-    return Score(value, -neg_j, 1 if hi == 1 and a <= 1 else 1 / a)
+def _phis(rt: RatioTable) -> dict[Delta, Score]:
+    vrs, ndrs, nirs, crs = _side(max, rt.beta, rt.alpha, le)
+    return {Delta.VRS: vrs, Delta.CRS: crs, Delta.NIRS: nirs, Delta.NDRS: ndrs}
 
 
 def radial(d: Dataset, delta: Delta, orientation: Orientation, o: int) -> Score:
     """Dispatch to :func:`theta` or :func:`phi` by orientation."""
-    if orientation is Orientation.INPUT:
-        return theta(d, delta, o)
-    return phi(d, delta, o)
+    return (theta if orientation is Orientation.INPUT else phi)(d, delta, o)
 
 
 @dataclass(frozen=True)
@@ -92,11 +76,35 @@ class EfficiencyScores:
 
 
 def _scores(rt: RatioTable) -> EfficiencyScores:
-    return EfficiencyScores(
-        reference=rt.reference,
-        theta={reg: _theta(rt, reg) for reg in Delta},
-        phi={reg: _phi(rt, reg) for reg in Delta},
-    )
+    return EfficiencyScores(rt.reference, _thetas(rt), _phis(rt))
+
+
+def _side(pick, own, scale, fits) -> tuple[Score, Score, Score, Score]:
+    """Scores at factor 1, scaled, and each joined with the peers that miss at 1.
+
+    Peer j's candidates are ``own[j]`` at factor 1 and ``own[j] / scale[j]``
+    at the factor where it just fits; it fits at 1 when ``fits(scale[j], 1)``.
+    """
+    ratio = list(map(truediv, own, scale))
+    inside = list(map(fits, scale, repeat(1)))
+    fixed, scaled = _best(pick, own, inside), _best(pick, ratio, inside, scale)
+    outside = _best(pick, ratio, list(map(not_, inside)), scale)
+    return fixed, scaled, _join(pick, fixed, outside), _join(pick, scaled, outside)
+
+
+def _best(pick, values, rows: list[bool], scale=None) -> Score | None:
+    """The first extreme over ``rows``: the lowest index on a tie; None if no rows."""
+    kept = list(compress(values, rows))
+    if not kept:
+        return None
+    j = list(compress(range(len(rows)), rows))[kept.index(pick(kept))]
+    return Score(values[j], j, 1 if scale is None else 1 / scale[j])
+
+
+def _join(pick, inner: Score, outer: Score | None) -> Score:
+    """The better score, a missing one skipped; a tie goes to the lower witness."""
+    pair = sorted(filter(None, (inner, outer)), key=attrgetter("witness"))
+    return pick(pair, key=attrgetter("value"))
 
 
 def _at_mpss(theta_crs: Score, tol: Tolerance) -> bool:

@@ -5,10 +5,9 @@ maximum incremental ratio is the best marginal gain from growing past the
 observed scale: the largest (output step - 1)/(input step - 1) over peers
 with an input ratio above 1 + eps, clamped at 0 (with no witness then).
 The minimum decremental ratio is the mirror under shrinking, over peers
-with an input ratio below 1 - eps, and the symbolic UNBOUNDED with none.
-Both equal the extremal slopes of secants of the response function
-through (1, 1); docs/derivations.md carries the argument, and the oracle
-module confirms both at the response curve's own thresholds.
+below 1 - eps, and the symbolic UNBOUNDED with none. Both are extremal
+secant slopes of the response function through (1, 1), as
+docs/derivations.md argues, and the oracle checks both on that curve.
 """
 
 from __future__ import annotations
@@ -64,25 +63,19 @@ RatioValue = Union[Numeric, UnboundedRatio]
 
 
 def _sigma_plus(rt: RatioTable, tol: Tolerance) -> tuple[RatioValue, int | None]:
-    pairs, floor = enumerate(zip(rt.alpha, rt.beta)), 1 + tol.eps
-    best = max(
-        (((b - 1) / (a - 1), -j) for j, (a, b) in pairs if a > floor),
-        default=None,
-    )
-    if best is None or best[0] <= 0:
-        return 0, None
-    return best[0], -best[1]
+    floor = 1 + tol.eps
+    rows = [j for j, a in enumerate(rt.alpha) if a > floor]
+    slopes = [(rt.beta[j] - 1) / (rt.alpha[j] - 1) for j in rows]
+    best = max(slopes, default=0)  # the first largest, at the lowest index
+    return (best, rows[slopes.index(best)]) if best > 0 else (0, None)
 
 
 def _sigma_minus(rt: RatioTable, tol: Tolerance) -> tuple[RatioValue, int | None]:
-    pairs, ceiling = enumerate(zip(rt.alpha, rt.beta)), 1 - tol.eps
-    best = min(
-        (((b - 1) / (a - 1), j) for j, (a, b) in pairs if a < ceiling),
-        default=None,
-    )
-    if best is None:
-        return UNBOUNDED, None
-    return best
+    ceiling = 1 - tol.eps
+    rows = [j for j, a in enumerate(rt.alpha) if a < ceiling]
+    slopes = [(rt.beta[j] - 1) / (rt.alpha[j] - 1) for j in rows]
+    best = min(slopes, default=UNBOUNDED)  # the first smallest, likewise
+    return (best, rows[slopes.index(best)]) if rows else (UNBOUNDED, None)
 
 
 @dataclass(frozen=True)
@@ -113,6 +106,5 @@ def scale_ratios(d: Dataset, o: int, tol: Tolerance = Tolerance()) -> ScaleRatio
 
 
 def _scale_ratios(rt: RatioTable, tol: Tolerance) -> ScaleRatios:
-    plus, plus_witness = _sigma_plus(rt, tol)
-    minus, minus_witness = _sigma_minus(rt, tol)
-    return ScaleRatios(rt.reference, plus, minus, plus_witness, minus_witness)
+    (plus, w_plus), (minus, w_minus) = _sigma_plus(rt, tol), _sigma_minus(rt, tol)
+    return ScaleRatios(rt.reference, plus, minus, w_plus, w_minus)

@@ -9,9 +9,10 @@ import fdhscale as f
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
-# per-quantity functions replaced by the one entry point per quantity
+# per-quantity functions replaced by the one entry point per quantity, and
+# the per-regime score scans replaced by shared reductions per orientation
 REMOVED = {
-    "efficiency": ("compute_scores", "is_mpss"),
+    "efficiency": ("compute_scores", "is_mpss", "_theta", "_phi"),
     "scale": ("sigma_plus", "sigma_minus", "SigmaResult"),
     "rts": ("right_rts", "left_rts", "grs"),
     "technology": ("is_efficient",),

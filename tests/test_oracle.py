@@ -254,6 +254,24 @@ def _nudge_score(sc):
     return dataclasses.replace(sc, value=sc.value + TINY)
 
 
+def _nudge_side(side_pick):
+    """+TINY on every score of the orientation ``_side`` reduces with ``side_pick``."""
+
+    def plant(right):
+        def faulty(pick, *args):
+            scores = right(pick, *args)
+            return tuple(map(_nudge_score, scores)) if pick is side_pick else scores
+
+        return faulty
+
+    return plant
+
+
+def _drop_outside(right):
+    """Join nothing: the combined regimes lose the term of the peers that miss at 1."""
+    return lambda pick, inner, outer: inner
+
+
 def _nudge_d_alpha_of_a(rt):
     if rt.reference != 0:
         return rt
@@ -327,6 +345,7 @@ FAULT_DIGESTS = {
     "grs": (3, "9adebb8d2dca00529542d550b4ccb61e5cd464f821c030448e7d025f638f91e8"),
     "witness": (3, "3408b10e024dc089a38ece9a909fc3fe14238c01e69b597aeef077dfe176e3ba"),
     "_phi": (3, "e2df5cc06cc48e1856cf9dae66daa93dd28b222d725b98bc5bcbaaffc86ce139"),
+    "dropped-outside-term": (3, "754e14e6fe59da29197673e08f1a11af76103b05369637b8ebb8753374e28462"),
     "grs-growth": (3, "6a40a04cf49b2b235f309a1c920af0ffa3887250dbe387fd30dcd6e198a9b619"),
     "phi-witness": (3, "158439a734b449941ca0d86eb18884369e1f21d5d5437803ad56f04ec504af07"),
     "dropped-step": (3, "fef549052817729bea296111f294940e326451401f4a7f6779069c35b95e68a6"),
@@ -367,8 +386,6 @@ class TestPlantedFaults:
             (scale, "_sigma_plus", _nudge_sigma, "max-incremental-ratio-matches-sweep"),
             (scale, "_sigma_minus", _nudge_sigma, "min-decremental-ratio-matches-sweep"),
             (response, "build_response", _nudge_last_step, "response-curve-matches-sweep"),
-            (efficiency, "_theta", _nudge_score, "radial-scores-match-enumeration"),
-            (efficiency, "_phi", _nudge_score, "radial-scores-match-enumeration"),
             # one fault on each side of the per-unit ratio table
             (rts, "ratio_table", _nudge_d_alpha_of_a, "radial-scores-match-enumeration"),
             (oracle, "_exact_pairs", _nudge_d_beta_of_a, "radial-scores-match-enumeration"),
@@ -383,6 +400,27 @@ class TestPlantedFaults:
         assert status[check][0] == "FAIL"
         assert status["overall"] == ["FAIL"] and code == 3
         assert _digest(code, out) == FAULT_DIGESTS[attr]
+
+    @pytest.mark.parametrize(
+        "fault,attr,plant",
+        [
+            # every theta score, or every phi score, off by TINY
+            pytest.param("_theta", "_side", _nudge_side(min), id="_theta"),
+            pytest.param("_phi", "_side", _nudge_side(max), id="_phi"),
+            # theta_ndrs = theta_vrs, theta_crs = theta_nirs, and phi mirrored
+            pytest.param(
+                "dropped-outside-term", "_join", _drop_outside, id="dropped-outside-term"
+            ),
+        ],
+    )
+    def test_score_fault_fails_the_enumeration_check(
+        self, capsys, monkeypatch, stair_csv, fault, attr, plant
+    ):
+        monkeypatch.setattr(efficiency, attr, plant(getattr(efficiency, attr)))
+        code, out, status = _verify_stair(capsys, stair_csv)
+        assert status["radial-scores-match-enumeration"][0] == "FAIL"
+        assert status["overall"] == ["FAIL"] and code == 3
+        assert _digest(code, out) == FAULT_DIGESTS[fault]
 
     def test_efficient_unit_marked_dominated_fails_the_ratio_check(
         self, capsys, monkeypatch, stair_csv

@@ -187,6 +187,44 @@ def test_frontier_first_classify_all_equals_classifying_each_unit(d):
     assert got == want
 
 
+def _defined_score(rt, delta, orientation):
+    """A score by its regime's definition, as a (value, witness, scaling) triple.
+
+    Each peer is scaled by the smallest admitted factor t that covers the
+    unit's outputs (theta), or by the largest that fits in its inputs (phi),
+    and the best value wins, the lowest index on a tie.
+    """
+    lo, hi = delta.bounds
+    inward = orientation is f.Orientation.INPUT
+    found = []
+    for j, (a, b) in enumerate(zip(rt.alpha, rt.beta)):
+        if inward:
+            t = max(lo, 1 / b)
+            if hi is None or t <= hi:
+                found.append((t * a, j, t))
+        else:
+            t = 1 / a if hi is None else min(hi, 1 / a)
+            if t >= lo:
+                found.append((t * b, j, t))
+    return min(found, key=lambda c: (c[0] if inward else -c[0], c[1]))
+
+
+@given(st.one_of(tie_heavy_datasets(exact=True), datasets()))
+@settings(max_examples=200, deadline=None)
+def test_every_score_matches_its_regime_definition(d):
+    # the frontier-first path included: dominated units score against a pool
+    for item in f.classify_all(d):
+        rt = f.ratio_table(d, item.reference)
+        for orientation, side in (
+            (f.Orientation.INPUT, item.scores.theta),
+            (f.Orientation.OUTPUT, item.scores.phi),
+        ):
+            for delta in DELTAS:
+                got = side[delta]
+                want = _defined_score(rt, delta, orientation)
+                assert (got.value, got.witness, got.delta) == want, (delta, orientation)
+
+
 @given(datasets(), st.integers(0, 10**6))
 @settings(max_examples=60, deadline=None)
 def test_response_is_canonical_monotone_and_agrees_with_scans(d, salt):
