@@ -552,6 +552,41 @@ class TestInputDefects:
         assert err.count("\n") == 1
         assert err.startswith(f"error [{error}]: row 3, column 'out_y': '1e999999999' ")
 
+    @pytest.mark.parametrize("argv", [("report",), ("ratios", "--dmu", "A")])
+    @pytest.mark.parametrize(
+        "rows,err",
+        [
+            # every cell is read before any entry is validated
+            (
+                "A,1,2\nB,-1,3\nC,4,x1\n",
+                "error [PARSE_ERROR]: row 4, column 'out_y': bad number 'x1'\n",
+            ),
+            (
+                "A,1,2\nB,1/0,3\nC,4\n",
+                "error [PARSE_ERROR]: row 3, column 'in_x': bad number '1/0'\n",
+            ),
+            # the spread check comes before the duplicate check, in either row order
+            (
+                "A,1e-200,2\nA,1e200,3\n",
+                "error [VALUE_SPREAD]: column 'in_x' spans 1e-200 to 1e+200; its "
+                "ratios leave the double range (largest/smallest must be at most 2**511)\n",
+            ),
+            (
+                "A,1,2\nA,2,3\nB,3,1e-300\nC,3,1e300\n",
+                "error [VALUE_SPREAD]: column 'out_y' spans 1e-300 to 1e+300; its "
+                "ratios leave the double range (largest/smallest must be at most 2**511)\n",
+            ),
+            (
+                "A,1,2\nB,0,3\nC,4,1e-400\n",
+                "error [VALUE_SPREAD]: row 4, column 'out_y': '1e-400' is outside "
+                "the double range\n",
+            ),
+        ],
+    )
+    def test_two_faults_report_the_first_in_order(self, capsys, tmp_path, argv, rows, err):
+        text = "dmu,in_x,out_y\n" + rows
+        assert self.run(capsys, tmp_path, text, *argv) == (2, "", err)
+
     def test_invalid_utf8(self, capsys, tmp_path):
         path = tmp_path / "data.csv"
         path.write_bytes(b"dmu,in_x,out_y\nA\xff,1,2\n")
