@@ -86,6 +86,10 @@ def read_csv_text(text: str, exact: bool = False) -> Dataset:
     if max(in_cols) > min(out_cols):
         raise ParseError("in_ columns must precede out_ columns")
 
+    columns = [header[c] for c in in_cols + out_cols]
+    parsed = None if exact else _float_columns(rows[1:], len(header), len(in_cols))
+    if parsed is not None:
+        return validate_dataset(*parsed, columns)
     names: list[str] = []
     inputs: list[list[Numeric]] = []
     outputs: list[list[Numeric]] = []
@@ -100,8 +104,30 @@ def read_csv_text(text: str, exact: bool = False) -> Dataset:
         names.append(cells[0])
         inputs.append([_cell(cells[c], exact, rownum, header[c]) for c in in_cols])
         outputs.append([_cell(cells[c], exact, rownum, header[c]) for c in out_cols])
-    columns = [header[c] for c in in_cols + out_cols]
     return validate_dataset(names, inputs, outputs, columns)
+
+
+def _float_columns(body: list[list[str]], width: int, m: int):
+    """Names, input rows and output rows of ``body``, read a column at a time.
+
+    ``None`` if a row is ragged, a name empty, or a cell outside ``_cell``'s
+    fast branch (short, a valid float, finite, nonzero): the row loop decides.
+    """
+    if set(map(len, body)) != {width}:
+        return None
+    first, *cols = zip(*body)
+    names = [name.strip() for name in first]
+    values = []
+    for col in cols:
+        try:
+            vals = list(map(float, col))
+        except ValueError:
+            return None
+        short = max(map(len, col)) <= _SHORT_CELL
+        if not (short and 0.0 not in vals and math.isfinite(sum(vals))):
+            return None
+        values.append(vals)
+    return (names, zip(*values[:m]), zip(*values[m:])) if all(names) else None
 
 
 def _csv_rows(text: str) -> list[list[str]]:

@@ -150,6 +150,19 @@ def _positive_finite(v: Numeric) -> bool:
         return False
 
 
+def _all_positive_finite(rows: tuple[tuple[Numeric, ...], ...], width: int) -> bool:
+    """True when every row has ``width`` entries and each column is all floats
+    (finite sum) or all Fractions, with a positive minimum; else the row loop judges."""
+    if set(map(len, rows)) != {width}:
+        return False
+    for col in zip(*rows):
+        kinds = set(map(type, col))
+        finite = kinds == {Fraction} or (kinds == {float} and math.isfinite(sum(col)))
+        if not (finite and min(col) > 0):
+            return False
+    return True
+
+
 # Every quantity the analysis computes is a ratio of two entries of one
 # column, or a product or quotient of two such ratios. A column whose largest
 # entry is at most 2**511 times its smallest keeps all of them within the
@@ -187,9 +200,9 @@ def validate_dataset(
         ValueSpreadError: a column that is not all exact rationals has
             entries more than 2**511 apart in ratio.
     """
-    names = tuple(str(x) for x in names)
-    rows_x = tuple(tuple(row) for row in inputs)
-    rows_y = tuple(tuple(row) for row in outputs)
+    names = tuple(map(str, names))
+    rows_x = tuple(map(tuple, inputs))
+    rows_y = tuple(map(tuple, outputs))
     if len(names) == 0:
         raise EmptyDatasetError("dataset has no units")
     if len(rows_x) != len(names) or len(rows_y) != len(names):
@@ -202,14 +215,15 @@ def validate_dataset(
         raise EmptyDatasetError("units must consume at least one input")
     if s == 0:
         raise EmptyDatasetError("units must produce at least one output")
-    for k, (rx, ry) in enumerate(zip(rows_x, rows_y)):
-        if len(rx) != m or len(ry) != s:
-            raise RaggedRowsError(f"row {k} ({names[k]!r}) has inconsistent arity")
-        for v in (*rx, *ry):
-            if not _positive_finite(v):
-                raise NonpositiveValueError(
-                    f"unit {names[k]!r} has non-positive entry {v!r}"
-                )
+    if not (_all_positive_finite(rows_x, m) and _all_positive_finite(rows_y, s)):
+        for k, (rx, ry) in enumerate(zip(rows_x, rows_y)):
+            if len(rx) != m or len(ry) != s:
+                raise RaggedRowsError(f"row {k} ({names[k]!r}) has inconsistent arity")
+            for v in (*rx, *ry):
+                if not _positive_finite(v):
+                    raise NonpositiveValueError(
+                        f"unit {names[k]!r} has non-positive entry {v!r}"
+                    )
     if columns is None:
         columns = [f"in_{k + 1}" for k in range(m)] + [f"out_{k + 1}" for k in range(s)]
     if len(columns) != m + s:

@@ -1,8 +1,9 @@
 """Invariants checked over generated data.
 
 Hypothesis drives the structural properties, the equivalence of the fast
-CSV cell parse and dataset digest with their ``Fraction`` references, and a
-fuzz of the command line on random CSV text; a seeded loop at the end
+CSV cell parse and dataset digest with their ``Fraction`` references, of the
+column-wise CSV read and validation with their row loops, and a fuzz of the
+command line on random CSV text; a seeded loop at the end
 replays the adversarial construction (duplicates and exact ray copies)
 that floats tend to get wrong, in exact arithmetic.
 """
@@ -10,6 +11,7 @@ that floats tend to get wrong, in exact arithmetic.
 import contextlib
 import hashlib
 import io
+import math
 import random
 from fractions import _RATIONAL_FORMAT, Fraction as F
 
@@ -17,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fdhscale as f
-from fdhscale import Delta, ParseError, Point, RtsReport, ValueSpreadError
+from fdhscale import Delta, ParseError, Point, RtsReport, ValueSpreadError, io_cli, model
 from fdhscale.io_cli import _cell, _digest
 from fdhscale.oracle import _curve_runs
 from fdhscale.rts import _frontier_pool
@@ -431,6 +433,114 @@ def _exact_cell(text):
 def test_cell_parse_equals_fraction_path(text):
     assert _outcome(_cell, text, False, 2, "in_x") == _outcome(_fraction_cell, text)
     assert _outcome(_cell, text, True, 2, "in_x") == _outcome(_exact_cell, text)
+
+
+# Padding that str.strip() removes; float() rejects \x1c-\x1f outright, so a
+# column holding one of them falls to the row loop.
+PADS = ["", " ", "\t", "\x85", "\u00a0", "\u2028", "\u3000"]
+CONTROL_PADS = ["\x1c", "\x1d", "\x1e", "\x1f"]
+# Spellings on either side of each condition under which a float column is
+# read at once: zero and underflow, NaN and infinities, literals only
+# Fraction reads, Unicode digits, and cells too long for the short-cell test
+# (beyond 4300 digits only Fraction's int conversion refuses them).
+FLOAT_CELLS = [
+    "-0", "0", "0.0", "-0.0", "nan", "-NaN", "inf", "-inf", "1e400", "-1e400", "1e-400",
+    "-1e-400", "5e-324", "1.7976931348623157e308", "13/4", "1_000", "1__0", "١٢٣",
+    "１２.５", "-1", "abc", "", "0." + "1" * 700, " " * 700 + "2.5",
+]
+LONG_CELLS = ["0." + "1" * 5000, "1" + "0" * 5000 + "e-5000", "2." + "5" * 4400]
+
+
+@st.composite
+def float_csv_texts(draw):
+    """Float CSV text of padded cells; some tables have odd cells, ragged rows
+    or odd names, so that either path of ``read_csv_text`` is taken."""
+    m, s = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    pad = st.sampled_from(PADS + (CONTROL_PADS if draw(one_in(4)) else []))
+    plain = st.one_of(
+        st.floats(1e-3, 1e6).map(repr), st.integers(1, 10**20).map(str)
+    ).map(lambda c: draw(pad) + c + draw(pad))
+    odd = st.one_of(st.sampled_from(FLOAT_CELLS), st.sampled_from(LONG_CELLS), cells)
+    messy, ragged, odd_names = draw(one_in(2)), draw(one_in(4)), draw(one_in(4))
+    lines = ["dmu," + ",".join([f"in_{k}" for k in range(m)] + [f"out_{k}" for k in range(s)])]
+    for k in range(draw(st.integers(0, 6))):
+        width = draw(st.integers(1, 6)) if ragged and draw(one_in(3)) else 1 + m + s
+        name = f" U{k}\u00a0" if odd_names else f"U{k}"
+        if odd_names and draw(one_in(3)):
+            name = draw(st.sampled_from(["U0", "", " ", "\x1f"]))
+        row = [name] + [draw(plain) for _ in range(width - 1)]
+        if messy and width > 1:
+            row[draw(st.integers(1, width - 1))] = draw(odd)
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def _read_outcome(text):
+    try:
+        d = f.read_csv_text(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return d, repr(d)
+
+
+@given(float_csv_texts())
+@settings(max_examples=500, deadline=None)
+def test_column_read_equals_row_loop(text):
+    by_columns = _read_outcome(text)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(io_cli, "_float_columns", lambda *args: None)
+        assert by_columns == _read_outcome(text)
+
+
+validation_entries = st.one_of(
+    st.sampled_from(
+        [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, True, False, 2, F(0), F(-1, 2)]
+        + ["1", "x", None]
+    ),
+    st.floats(),
+    st.floats(1e-6, 1e6),
+    st.integers(-2, 10**6),
+    st.fractions(max_denominator=50),
+    st.fractions(F(1, 50), 10**6),
+)
+
+
+@st.composite
+def validation_tables(draw):
+    """Raw names and rows with one kind per column, then up to two entries
+    swapped for any entry at all, and sometimes one row cut or lengthened."""
+    n, m, s = draw(st.integers(1, 4)), draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    kinds = [
+        draw(st.sampled_from([st.floats(1e-6, 1e6), st.fractions(F(1, 50), 50)]))
+        for _ in range(m + s)
+    ]
+    inputs = [[draw(kinds[c]) for c in range(m)] for _ in range(n)]
+    outputs = [[draw(kinds[m + c]) for c in range(s)] for _ in range(n)]
+    for _ in range(draw(st.integers(0, 2))):
+        row = draw(st.sampled_from(inputs + outputs))
+        row[draw(st.integers(0, len(row) - 1))] = draw(validation_entries)
+    if draw(one_in(6)):
+        row = draw(st.sampled_from(inputs + outputs))
+        row[:] = row[1:] if draw(st.booleans()) else row + [1.0]
+    names = [draw(st.sampled_from([k, f"U{k}", "U0"])) for k in range(n)]
+    return names, inputs, outputs
+
+
+def _validate_outcome(table):
+    try:
+        d = f.validate_dataset(*table)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return d, repr(d)
+
+
+@given(validation_tables())
+@settings(max_examples=500, deadline=None)
+def test_bulk_validation_equals_row_loop(table):
+    bulk = _validate_outcome(table)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "_all_positive_finite", lambda *args: False)
+        assert bulk == _validate_outcome(table)
 
 
 def _digest_by_fraction(d):
