@@ -650,6 +650,22 @@ class TestEntryPoints:
         assert [code for code, _, _ in in_process] == [1, 0]
         assert in_process == fresh
 
+    def test_huge_grid_steps_do_not_slow_verify(self, stair_csv):
+        # --grid-steps is accepted, not read: the curve walk visits the
+        # breakpoints only, so 10^8 grid steps cost nothing
+        src = str(Path(f.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        argv = ["verify", "--input", str(stair_csv), "--trials", "0"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "fdhscale", *argv, "--grid-steps", "100000000"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=60,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.splitlines()[-1].split() == ["overall", "PASS"]
+
     def test_console_script(self, stair_csv):
         exe = shutil.which("fdhscale")
         assert exe, "console script not installed"

@@ -85,22 +85,23 @@ class TestRatioOracle:
         assert oracle._ratios(a_pairs) == (F(11, 10), UNBOUNDED)
         # a wrong curve to compare with is reported at its first point
         steps = [F(1, 6), F(1, 2), F(5, 6), F(1)]
-        assert oracle._walk(d_pairs, FAST_CFG, steps, lambda p: F(1)) == (F(1, 6), 1)
+        assert oracle._walk(d_pairs, steps, lambda p: F(1)) == (F(1, 6), 1)
 
     def test_grid_starts_at_the_smallest_input_ratio(self, stair):
-        # a step list that starts at 1 still has D's curve compared from 1/6 on
+        # a step list that starts at 1 still has D's curve compared from 1/6
+        # on: the walk visits the pairs' own thresholds, and 1/6 comes first
         curve = response.build_response(stair, 3).evaluate
         got = oracle._walk(
             oracle._exact_pairs(stair, 3),
-            FAST_CFG,
             [F(1)],
             lambda p: curve(p) if p >= F(1, 2) else F(0),
         )
-        assert got == (F(1, 6), 2)
+        assert got == (F(1, 6), 1)
 
     def test_no_point_of_the_curve_check_moves_a_ratio(self):
-        # the slope at any point the response check walks (fast steps, their
-        # midpoints, a 100-step grid) ties or loses to the threshold ratios
+        # the slope at any point of the curve ties or loses to the threshold
+        # ratios; this test keeps its own denser points (fast steps, their
+        # midpoints, a 100-step grid) as a stronger check than the walk needs
         above = below = 0
         for seed in range(40):
             d = f.random_dataset(2000 + seed, 5 + seed % 4, 2, 2)
@@ -332,27 +333,28 @@ def _phi_crs_witness_at_self(scores):
 
 
 # sha256 of verify stdout and the exit code under each planted fault, on the
-# staircase CSV at --grid-steps 100: the FAIL lines keep their bytes too.
+# staircase CSV: the FAIL lines keep their bytes too.
 FAULT_DIGESTS = {
-    "_sigma_plus": (3, "bdc2f300091a96696114c16d97f892042e34adb88f234b6c3b30b2da9f8c1f19"),
-    "_sigma_minus": (3, "e192bb959faa1258793b3f0eb409712bef96569559de4fdba9f75c43c70fb431"),
+    "_sigma_plus": (3, "486a6e74f534f6c8974ab7887745b54ee6649045a17f7d2f0c62540d0e0eb9b1"),
+    "_sigma_minus": (3, "2ab1a6a2a00e648e9189d15ffaf42e37304c4876f9d6c7d0c6b0d80073761c2f"),
     "build_response": (3, "47eaea49d835a894be8f3a985545dc5cd9e3a57bb6445c32cf8777f200be79f8"),
-    "_theta": (3, "8489b7f2c346ed6ac5e445283c4adabae2eaf3f5c9813f31b3b1fc71c9b05570"),
-    "dominated-marker": (3, "4f5497da816d4e13942fd7a60ecd49cc0a23a070ed21c85807ad513e342bf754"),
-    "mpss": (3, "e3c56efc4722b6621793ace56bd1f45f12cee27bd35cf06be9bba75619de8c79"),
-    "right": (3, "2cb14a0a30a9e70e92f83f98675e4927f700c7b4234d7ceca434061a98d276e8"),
-    "left": (3, "e5cc4192e199623e62b707581998cfd32810d02d634099b9cf93e99da030d889"),
-    "grs": (3, "9adebb8d2dca00529542d550b4ccb61e5cd464f821c030448e7d025f638f91e8"),
-    "witness": (3, "3408b10e024dc089a38ece9a909fc3fe14238c01e69b597aeef077dfe176e3ba"),
-    "_phi": (3, "e2df5cc06cc48e1856cf9dae66daa93dd28b222d725b98bc5bcbaaffc86ce139"),
-    "dropped-outside-term": (3, "754e14e6fe59da29197673e08f1a11af76103b05369637b8ebb8753374e28462"),
-    "grs-growth": (3, "6a40a04cf49b2b235f309a1c920af0ffa3887250dbe387fd30dcd6e198a9b619"),
-    "phi-witness": (3, "158439a734b449941ca0d86eb18884369e1f21d5d5437803ad56f04ec504af07"),
+    "_theta": (3, "ae8c706f96fd287a3501eaf1835c2d398e6ccc895f7c3c6a456c6532c6a12940"),
+    "dominated-marker": (3, "9b986b731b977d06eb81d2ea8a332ec4fde03af8987dd8af119ba4a6d77609d2"),
+    "mpss": (3, "6c20be7c0c016625ac3224239c9d6817fa72e743bf75ce27a4fad03cfae8c6b9"),
+    "right": (3, "a384f7ec45ad6c5aa46eaa2612bb9d92cf10a992ebb6251523e23b63b21f2afe"),
+    "left": (3, "1a99d65e0dc98b3fbd449c5a4d13cfdc51eac6e24db01fc11147690d0e31b166"),
+    "grs": (3, "e5382907b60ba55a156096b5d644c4b517490e2a5ec31a6dfe9eb2d93ade989e"),
+    "witness": (3, "cefa06b95d0e80978e47cecd9a128c47b50224d91e55f7186959f0976f8ce733"),
+    "_phi": (3, "ba6a032bf076554a29b95e45e37fa8e2b416dd4b1fbe3f18a9ebc13a6008d358"),
+    "dropped-outside-term": (3, "856aef2e9189a38aea47939aea96fcce8c9cc03571ae8f33dec46de306815422"),
+    "grs-growth": (3, "af2a1457b607d6c9a7effc4a2a813b7ea7cd42f5d91c7860606690a332afec31"),
+    "phi-witness": (3, "b25d6b96cc676db5859f65b0aec97e2352b44d169d49bc65de088469b7a19bff"),
     "dropped-step": (3, "fef549052817729bea296111f294940e326451401f4a7f6779069c35b95e68a6"),
     "repeated-step": (3, "e330eb43fbe6ded1be9da3c41cdb6f1828cfee319107d00f55304b926576e7f2"),
     "dropped-first-step": (3, "9dd12aeb57b5dad38924a6637f689ad0cf3ca3c5325982ad44cdd08f0d289c7b"),
     "step-below-domain": (3, "84346ed4a11d2ee56e6d2f26bcdd931dcc22dc151dc4cf219b32d166d4554eba"),
-    "ratio_table": (3, "081c929e4d7e1c3d2a1379505368b7addfabcf1c5cfd07fd9810cfcb12b6f808"),
+    "changed-step-value": (3, "c30144fc5cb55691c408822cc170fe536b8d946c9b9b74d6455e4b0e6d6c93c4"),
+    "ratio_table": (3, "dc7e11c504bb28565629fea65c40272af560a7dfcd1db10c95f1fc9863027d24"),
     "_exact_pairs": (3, "8eb0de639105ebd7939b94a9df43f45b6383a1be45a83a6cfe4e3fab95f94789"),
 }
 
@@ -445,6 +447,12 @@ class TestPlantedFaults:
             # the domain then starts too late, or below every peer's input ratio
             ("dropped-first-step", lambda steps: steps[1:]),
             ("step-below-domain", lambda steps: ((F(1, 12), F(1, 13)),) + steps),
+            # every threshold kept and the list still canonical: 5/13 -> 9/26
+            # at 5/6, still between 4/13 and 1
+            (
+                "changed-step-value",
+                lambda steps: steps[:2] + ((steps[2][0], F(9, 26)),) + steps[3:],
+            ),
         ],
     )
     def test_wrong_steps_fail_the_curve_and_leave_the_ratios_exact(

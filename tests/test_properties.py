@@ -2,13 +2,15 @@
 
 Hypothesis drives the structural properties, the equivalence of the fast
 CSV cell parse and dataset digest with their ``Fraction`` references, of the
-column-wise CSV read and validation with their row loops, and a fuzz of the
-command line on random CSV text; a seeded loop at the end
+column-wise CSV read and validation with their row loops, of the oracle's
+breakpoint walk with a dense comparison, and a fuzz of the command line on
+random CSV text; a seeded loop at the end
 replays the adversarial construction (duplicates and exact ray copies)
 that floats tend to get wrong, in exact arithmetic.
 """
 
 import contextlib
+import functools
 import hashlib
 import io
 import math
@@ -19,7 +21,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fdhscale as f
-from fdhscale import Delta, ParseError, Point, RtsReport, ValueSpreadError, io_cli, model
+from fdhscale import Delta, ParseError, Point, RtsReport, ValueSpreadError
+from fdhscale import io_cli, model, oracle
 from fdhscale.io_cli import _cell, _digest
 from fdhscale.oracle import _curve_runs
 from fdhscale.rts import _frontier_pool
@@ -275,6 +278,103 @@ def test_curve_merge_equals_rescan(pairs, runs, data):
             list(_curve_runs(pairs, *runs))
         return
     assert list(_curve_runs(pairs, *runs)) == want
+
+
+def _dense_reference(pairs):
+    """A dense comparison with the exact curve of ``pairs``, and the curve.
+
+    ``misses(steps, evaluate)`` lists the points where ``evaluate`` differs
+    from a rescan of the pairs, among the given thresholds, their
+    midpoints, a 100-step grid from the smallest alpha to
+    ``max(10 * largest alpha, 2)`` and every pair threshold: more points
+    than the breakpoint walk needs.
+    """
+    alphas = [a for a, _ in pairs]
+    lo, hi = min(alphas), max(10 * max(alphas), F(2))
+    base = {*alphas, *(lo + (hi - lo) * k / 100 for k in range(101))}
+    curve = functools.cache(lambda p: max(b for a, b in pairs if a <= p))
+
+    def misses(steps, evaluate):
+        mids = [(u + v) / 2 for u, v in zip(steps, steps[1:])]
+        return [p for p in base.union(steps, mids) if evaluate(p) != curve(p)]
+
+    return misses, curve
+
+
+def _perturbed(steps, pairs, rng):
+    """The true step list with one change, once per kind of change.
+
+    A step value changes, a step is inserted, a step is dropped, or a
+    threshold moves between its neighbours. Every copy keeps the first
+    threshold, where the domain starts, and strictly ascending thresholds;
+    some changes leave the curve as it was (an inserted step that repeats
+    the value before it, a move back to the same place).
+    """
+    alphas = sorted({a for a, _ in pairs})
+    top = max(10 * alphas[-1], F(2)) + 1
+    values = [v for _, v in steps]
+
+    def between(lst, k):
+        # a pair threshold or a fresh point after threshold k - 1 and before k
+        lo = lst[k - 1][0]
+        hi = lst[k][0] if k < len(lst) else top
+        inside = [a for a in alphas if lo < a < hi]
+        return rng.choice(inside + [lo + (hi - lo) * F(rng.randint(1, 99), 100)])
+
+    k = rng.randrange(len(steps))
+    t, v = steps[k]
+    new_v = rng.choice([v / 2, 2 * v, v + F(1, 2**60), *values])
+    yield steps[:k] + [(t, new_v)] + steps[k + 1 :]
+    k = rng.randrange(1, len(steps) + 1)
+    new = (between(steps, k), rng.choice([*values, 2 * values[-1]]))
+    yield steps[:k] + [new] + steps[k:]
+    if len(steps) > 1:
+        k = rng.randrange(1, len(steps))
+        rest = steps[:k] + steps[k + 1 :]
+        yield rest
+        yield rest[:k] + [(between(rest, k), steps[k][1])] + rest[k:]
+
+
+def _breakpoint_walk_is_complete(d, rng):
+    """Check the response walk of every unit against the dense comparison.
+
+    Returns how many changed step lists the dense comparison caught.
+    """
+    caught = 0
+    for o in range(d.n):
+        pairs = oracle._exact_pairs(d, o)
+        misses, curve = _dense_reference(pairs)
+        true = list(f.build_response(d, o).steps)
+        right = f.ResponseFunction(o, tuple(true)).evaluate
+        assert oracle._walk(pairs, [t for t, _ in true], right)[0] is None
+        for steps in _perturbed(true, pairs, rng):
+            ts = [t for t, _ in steps]
+            evaluate = f.ResponseFunction(o, tuple(steps)).evaluate
+            dense = misses(ts, evaluate)
+            miss, _ = oracle._walk(pairs, ts, evaluate)
+            if dense:
+                caught += 1
+                # both curves are constant between the walk's points, so the
+                # walk meets a difference no later than any denser check
+                assert miss is not None and miss <= min(dense), (o, steps)
+            if miss is not None:
+                assert evaluate(miss) != curve(miss), (o, steps)
+    return caught
+
+
+def test_breakpoint_walk_finds_every_difference_on_seeded_data():
+    rng = random.Random("walk")
+    caught = 0
+    for seed in range(40):
+        d = f.random_dataset(3000 + seed, 2 + seed % 7, 1 + seed % 2, 1 + seed % 3)
+        caught += _breakpoint_walk_is_complete(d, rng)
+    assert caught > 100
+
+
+@given(tie_heavy_datasets(exact=True), st.integers(0, 2**32))
+@settings(max_examples=100, deadline=None)
+def test_breakpoint_walk_finds_every_difference_on_tie_heavy_data(d, salt):
+    _breakpoint_walk_is_complete(d, random.Random(salt))
 
 
 @given(datasets(), positive, positive)
