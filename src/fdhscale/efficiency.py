@@ -21,7 +21,6 @@ from .model import (
     Numeric,
     Orientation,
     RatioTable,
-    Tolerance,
     ratio_table,
 )
 
@@ -75,10 +74,6 @@ class EfficiencyScores:
     phi: Mapping[Delta, Score]
 
 
-def _scores(rt: RatioTable) -> EfficiencyScores:
-    return EfficiencyScores(rt.reference, _thetas(rt), _phis(rt))
-
-
 def _side(pick, own, scale, fits) -> tuple[Score, Score, Score, Score]:
     """Scores at factor 1, scaled, and each joined with the peers that miss at 1.
 
@@ -106,7 +101,3 @@ def _join(pick, inner: Score, outer: Score | None) -> Score:
     pair = sorted(filter(None, (inner, outer)), key=attrgetter("witness"))
     return pick(pair, key=attrgetter("value"))
 
-
-def _at_mpss(theta_crs: Score, tol: Tolerance) -> bool:
-    """Most productive scale size: the constant-returns score is 1 within ``tol``."""
-    return abs(theta_crs.value - 1) <= tol.eps

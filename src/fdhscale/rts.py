@@ -2,13 +2,13 @@
 
 ``classify_unit`` reads every quantity of one unit off its ratio table:
 scores, the scale-size flag and, for an efficient unit, both scale ratios
-and the classes. Right and left classes describe the frontier immediately
-above and below the observed scale; each is read off its scale ratio by
-one rule: above 1 + eps, below 1 - eps, or in between. The global class
-compares the constant-returns score with the two one-sided-regime scores.
-``check_consistency`` applies the same rule to a report's stored ratios
-and checks the implications the global class imposes, so a report can be
-audited without recomputing it.
+and the classes; ``classify_all`` does so for every unit, deciding who
+dominates whom once, from each unit's dominator set. Right and left classes
+describe the frontier just above and below the observed scale, each read
+off its scale ratio by one rule: above 1 + eps, below 1 - eps, or between.
+The global class compares the constant-returns score with the one-sided
+regimes' scores. ``check_consistency`` checks a report's stored ratios and
+the implications of its global class by the same rule, without recomputing.
 """
 
 from __future__ import annotations
@@ -17,11 +17,11 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Union
 
-from .efficiency import EfficiencyScores, Score, _at_mpss, _scores
+from .efficiency import EfficiencyScores, Score, _phis, _thetas
 from .errors import UnclassifiableError
-from .model import Dataset, Delta, Numeric, Tolerance, _table, ratio_table
+from .model import Dataset, Delta, Numeric, RatioTable, Tolerance, _table, ratio_table
 from .scale import RatioValue, ScaleRatios, _scale_ratios
-from .technology import _dominates, dominating_peer
+from .technology import _dominator_sets, _units, dominating_peer
 
 
 class RightRts(Enum):
@@ -125,9 +125,16 @@ def classify_unit(
             pattern, which only float rounding can cause.
     """
     rt = ratio_table(d, o)
-    scores = _scores(rt)
-    mpss = _at_mpss(scores.theta[Delta.CRS], tol)
-    w = dominating_peer(d, rt)
+    scores = EfficiencyScores(o, _thetas(rt), _phis(rt))
+    return _classify(rt, scores, dominating_peer(d, rt), tol)
+
+
+def _classify(
+    rt: RatioTable, scores: EfficiencyScores, w: int | None, tol: Tolerance
+) -> Union[RtsReport, InefficientUnit]:
+    """The marker of a unit that ``w`` dominates, or, if ``w`` is None, its report."""
+    o = rt.reference
+    mpss = abs(scores.theta[Delta.CRS].value - 1) <= tol.eps
     if w is not None:
         return InefficientUnit(o, scores.theta[Delta.VRS].value, w, scores, mpss)
     sigma = _scale_ratios(rt, tol)
@@ -149,27 +156,22 @@ def classify_all(
 ) -> list[Union[RtsReport, InefficientUnit]]:
     """Classify every unit, in dataset order, exactly as :func:`classify_unit` does.
 
-    Frontier first: each efficient unit goes through :func:`classify_unit`.
-    A dominated unit reads its scores off a table against a pool of peers
-    only, the efficient units and the dominated units that could tie them,
-    and its witness off a scan of every peer in index order
-    (docs/derivations.md, "Frontier first").
+    Frontier first (docs/derivations.md): efficient units get a full table and
+    dominated units one over the pool, with their lowest-index dominator as witness.
     """
-    frontier, pool = _frontier_pool(d)
+    dom = _dominator_sets(d)
+    pool = _pool(d, dom)
     px, py = [d.inputs[j] for j in pool], [d.outputs[j] for j in pool]
     out: list[Union[RtsReport, InefficientUnit]] = []
-    for o in range(d.n):
-        if o in frontier:
-            out.append(classify_unit(d, o, tol))
-            continue
-        pruned = _scores(_table(o, px, py, d.inputs[o], d.outputs[o]))
-        th, ph = (  # witnesses index the pool; map them back to the dataset
-            {reg: Score(s.value, pool[s.witness], s.delta) for reg, s in side.items()}
-            for side in (pruned.theta, pruned.phi)
+    for o, above in enumerate(dom):
+        rt = _table(o, px, py, d.inputs[o], d.outputs[o]) if above else ratio_table(d, o)
+        peers = pool if above else range(d.n)
+        th, ph = (  # witnesses index the table's rows; map them back to the dataset
+            {reg: Score(s.value, peers[s.witness], s.delta) for reg, s in side.items()}
+            for side in (_thetas(rt), _phis(rt))
         )
-        w = next(j for j in range(d.n) if _dominates(d, j, o))
-        scores, mpss = EfficiencyScores(o, th, ph), _at_mpss(th[Delta.CRS], tol)
-        out.append(InefficientUnit(o, th[Delta.VRS].value, w, scores, mpss))
+        w = next(_units(above), None)  # the lowest-index dominator
+        out.append(_classify(rt, EfficiencyScores(o, th, ph), w, tol))
     return out
 
 
@@ -178,24 +180,13 @@ def classify_all(
 _TIE_SLACK = 2**40
 
 
-def _frontier_pool(d: Dataset) -> tuple[set[int], list[int]]:
-    """The efficient units, and the sorted pool of them and their possible ties.
-
-    One sort-filter skyline pass: the key ``(x, -y)`` puts every dominator
-    strictly before each unit it dominates, so a unit is efficient exactly
-    when no efficient unit before it dominates it. A dominated unit joins
-    the pool when it precedes, by index, every efficient unit dominating it
-    and shares an input or an output with each of them to within the slack.
-    """
-    frontier, ties = [], []
-    order = sorted(range(d.n), key=lambda j: (d.inputs[j], [-v for v in d.outputs[j]]))
-    for k in order:
-        above = [e for e in frontier if _dominates(d, e, k)]
-        if not above:
-            frontier.append(k)
-        elif all(k < e and _near(d, e, k) for e in above):
-            ties.append(k)
-    return set(frontier), sorted(frontier + ties)
+def _pool(d: Dataset, dom: list[int]) -> list[int]:
+    """The efficient units and the dominated units that may tie them, in index order."""
+    eff, pool = sum(1 << o for o, above in enumerate(dom) if not above), []
+    for k, above in enumerate(dom):
+        if all(k < e and _near(d, e, k) for e in _units(above & eff)):
+            pool.append(k)
+    return pool
 
 
 def _near(d: Dataset, e: int, k: int) -> bool:

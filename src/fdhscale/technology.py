@@ -4,14 +4,15 @@ A point belongs to the technology when some observed unit, scaled by a
 factor admitted by the regime, fits under the point's inputs and over its
 outputs. Because exactly one unit is active at a time, every question
 here reduces to intersecting a closed scaling interval per unit with the
-regime's interval. All comparisons are exact; tolerances play no role in
-geometry.
+regime's interval; who dominates whom at fixed scale comes from one sort
+per column. All comparisons are exact; tolerances play no role in geometry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import ge, le
+from itertools import groupby
+from typing import Iterator
 
 from .errors import DimensionMismatchError
 from .model import Dataset, Delta, Numeric, RatioTable, check_index
@@ -104,7 +105,24 @@ def dominating_peer(d: Dataset, rt: RatioTable) -> int | None:
     return None
 
 
-def _dominates(d: Dataset, j: int, o: int) -> bool:
-    """The test ``alpha[j] <= 1 <= beta[j]`` of o's table, read off the raw data."""
-    xj, yj, xo, yo = d.inputs[j], d.outputs[j], d.inputs[o], d.outputs[o]
-    return all(map(le, xj, xo)) and all(map(ge, yj, yo)) and (xj != xo or yj != yo)
+def _dominator_sets(d: Dataset) -> list[int]:
+    """Bit j of entry o is set when unit j dominates unit o at fixed scale: the
+    AND over the columns of the units at least as good as o there (an input
+    no larger, an output no smaller), less the AND of those equal to it there,
+    its identical copies (docs/derivations.md, "Frontier first")."""
+    better, same = [-1] * d.n, [-1] * d.n
+    for i, col in enumerate([*zip(*d.inputs), *zip(*d.outputs)]):
+        order, seen = sorted(range(d.n), key=col.__getitem__, reverse=i >= d.m), 0
+        for _, run in groupby(order, col.__getitem__):
+            group = sum(1 << j for j in run)
+            seen |= group
+            for j in _units(group):
+                better[j] &= seen
+                same[j] &= group
+    return [b & ~e for b, e in zip(better, same)]
+
+
+def _units(bits: int) -> Iterator[int]:
+    while bits:  # the units of the bitset, lowest index first
+        yield (bits & -bits).bit_length() - 1
+        bits &= bits - 1

@@ -12,10 +12,10 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 # per-quantity functions replaced by the one entry point per quantity, and
 # the per-regime score scans replaced by shared reductions per orientation
 REMOVED = {
-    "efficiency": ("compute_scores", "is_mpss", "_theta", "_phi"),
+    "efficiency": ("compute_scores", "is_mpss", "_theta", "_phi", "_scores", "_at_mpss"),
     "scale": ("sigma_plus", "sigma_minus", "SigmaResult"),
-    "rts": ("right_rts", "left_rts", "grs"),
-    "technology": ("is_efficient",),
+    "rts": ("right_rts", "left_rts", "grs", "_frontier_pool"),
+    "technology": ("is_efficient", "_dominates"),
 }
 
 

@@ -427,9 +427,11 @@ class TestPlantedFaults:
     def test_efficient_unit_marked_dominated_fails_the_ratio_check(
         self, capsys, monkeypatch, stair_csv
     ):
-        right = rts.dominating_peer
+        right = rts._classify
         monkeypatch.setattr(
-            rts, "dominating_peer", lambda d, rt: 0 if rt.reference == 3 else right(d, rt)
+            rts,
+            "_classify",
+            lambda rt, scores, w, tol: right(rt, scores, 0 if rt.reference == 3 else w, tol),
         )
         code, out, status = _verify_stair(capsys, stair_csv)
         assert status["max-incremental-ratio-matches-sweep"] == [

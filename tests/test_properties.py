@@ -25,8 +25,8 @@ from fdhscale import Delta, ParseError, Point, RtsReport, ValueSpreadError
 from fdhscale import io_cli, model, oracle
 from fdhscale.io_cli import _cell, _digest
 from fdhscale.oracle import _curve_runs
-from fdhscale.rts import _frontier_pool
-from fdhscale.technology import dominating_peer
+from fdhscale.rts import _near, _pool
+from fdhscale.technology import _dominator_sets, dominating_peer
 
 DELTAS = tuple(Delta)
 
@@ -78,18 +78,24 @@ def test_score_bounds_and_regime_nesting(d):
         assert ph[Delta.CRS] * th[Delta.CRS] == 1
 
 
+def _dominators(d, o):
+    """Every unit at least as good as ``o`` in each input and output, by
+    all-pairs comparison, with ``o``'s identical copies left out."""
+    xo, yo = d.unit(o)
+    return {
+        j
+        for j in range(d.n)
+        if all(a <= b for a, b in zip(d.inputs[j], xo))
+        and all(a >= b for a, b in zip(d.outputs[j], yo))
+        and not all(a == b for a, b in zip(d.inputs[j] + d.outputs[j], xo + yo))
+    }
+
+
 @given(datasets())
 @settings(max_examples=60, deadline=None)
 def test_dominance_matches_componentwise_definition(d):
     for o in range(d.n):
-        xo, yo = d.unit(o)
-        direct = any(
-            all(a <= b for a, b in zip(d.inputs[j], xo))
-            and all(a >= b for a, b in zip(d.outputs[j], yo))
-            and (d.inputs[j], d.outputs[j]) != (xo, yo)
-            for j in range(d.n)
-        )
-        assert (f.find_dominating(d, Delta.VRS, o) is not None) == direct
+        assert (f.find_dominating(d, Delta.VRS, o) is not None) == bool(_dominators(d, o))
 
 
 NEAR_ONE = (1.0, 1.0 + 2**-52, 1.0 - 2**-53)
@@ -170,10 +176,26 @@ TIE_DATA = (
 
 @given(st.one_of(*TIE_DATA))
 @settings(max_examples=150, deadline=None)
-def test_skyline_finds_exactly_the_undominated_units(d):
-    frontier, pool = _frontier_pool(d)
-    assert frontier == {o for o in range(d.n) if f.find_dominating(d, Delta.VRS, o) is None}
-    assert pool == sorted(set(pool)) and frontier <= set(pool)
+def test_dominator_sets_match_all_pairs_dominance(d):
+    dom = _dominator_sets(d)
+    assert len(dom) == d.n and all(bits >= 0 for bits in dom)
+    want = [_dominators(d, o) for o in range(d.n)]
+    assert [{j for j in range(d.n) if bits >> j & 1} for bits in dom] == want
+    efficient = {o for o in range(d.n) if not dom[o]}
+    assert efficient == {o for o in range(d.n) if f.find_dominating(d, Delta.VRS, o) is None}
+    for o in range(d.n):
+        if dom[o]:  # the witness is the lowest-index dominator
+            assert min(want[o]) == dominating_peer(d, f.ratio_table(d, o))
+    pool = _pool(d, dom)
+    assert pool == sorted(set(pool)) and efficient <= set(pool)
+    for k in set(pool) - efficient:
+        assert all(k < e for e in want[k] & efficient)
+    ties = {
+        k
+        for k in range(d.n)
+        if dom[k] and all(k < e and _near(d, e, k) for e in want[k] & efficient)
+    }
+    assert set(pool) == efficient | ties
 
 
 def _each_unit(classify):
@@ -190,6 +212,44 @@ def test_frontier_first_classify_all_equals_classifying_each_unit(d):
     want = _each_unit(lambda: [f.classify_unit(d, o) for o in range(d.n)])
     # every field of every unit, each score's witness and scaling included
     assert got == want
+
+
+def _generated_floats(seed, n, m=3, s=2):
+    """Unit sizes e**g with g standard normal, each entry the size times e**u
+    with u uniform in +-0.5; a tenth of the rows are then replaced by exact
+    duplicates, by copies scaled by 2 or 1/2, and by copies with one entry
+    one ulp up or down, and the rows are shuffled."""
+    rng = random.Random(seed)
+    rows = []
+    for _ in range(n):
+        size = math.exp(rng.gauss(0, 1))
+        rows.append([size * math.exp(rng.uniform(-0.5, 0.5)) for _ in range(m + s)])
+    for k in range(0, n, 10):
+        row = list(rows[rng.randrange(n)])
+        kind = k // 10 % 3
+        if kind == 1:
+            row = [rng.choice([0.5, 2.0]) * v for v in row]
+        elif kind == 2:
+            i = rng.randrange(m + s)
+            row[i] = math.nextafter(row[i], rng.choice([0.0, math.inf]))
+        rows[k] = row
+    rng.shuffle(rows)
+    names = [f"U{k + 1}" for k in range(n)]
+    return f.validate_dataset(names, [r[:m] for r in rows], [r[m:] for r in rows])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: _generated_floats(11, 300), lambda: oracle.random_dataset(7, 150, 2, 2)],
+    ids=["float-300", "exact-150"],
+)
+def test_classify_all_equals_classifying_each_unit_past_one_machine_word(make):
+    d = make()
+    dom = _dominator_sets(d)
+    assert max(dom).bit_length() > 64  # the masks span several machine words
+    assert len(_pool(d, dom)) > sum(not bits for bits in dom)  # the pool holds ties
+    # every field of every unit, each score's witness and scaling included
+    assert f.classify_all(d) == [f.classify_unit(d, o) for o in range(d.n)]
 
 
 def _defined_score(rt, delta, orientation):
