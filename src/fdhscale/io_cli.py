@@ -35,7 +35,8 @@ from .errors import (
     UnclassifiableError,
     ValueSpreadError,
 )
-from .model import Dataset, Delta, Numeric, Orientation, Tolerance, validate_dataset
+from .model import Dataset, Delta, Numeric, Orientation, Tolerance
+from .model import _validated, validate_dataset
 from .oracle import OracleConfig, merge_checks, verify_dataset, verify_random
 from .response import build_response
 from .rts import InefficientUnit, RtsReport, classify_all, classify_unit
@@ -64,7 +65,8 @@ def read_csv(source: Union[str, Path], exact: bool = False) -> Dataset:
 
 def read_csv_text(text: str, exact: bool = False) -> Dataset:
     text = text.removeprefix("\ufeff")  # a byte-order mark is not part of 'dmu'
-    rows = _csv_rows(text)
+    lines = _plain_lines(text)
+    rows = [lines[0].split(",")] if lines else _csv_rows(text)
     if not rows:
         raise EmptyDatasetError("no header row")
     header = [cell.strip() for cell in rows[0]]
@@ -87,13 +89,14 @@ def read_csv_text(text: str, exact: bool = False) -> Dataset:
         raise ParseError("in_ columns must precede out_ columns")
 
     columns = [header[c] for c in in_cols + out_cols]
-    parsed = None if exact else _float_columns(rows[1:], len(header), len(in_cols))
-    if parsed is not None:
-        return validate_dataset(*parsed, columns)
+    grid = lines and not exact and _float_grid(lines[1:], len(header), len(in_cols))
+    if grid:
+        return _validated(*grid, columns)
     names: list[str] = []
     inputs: list[list[Numeric]] = []
     outputs: list[list[Numeric]] = []
-    for rownum, row in enumerate(rows[1:], start=2):
+    body = (line.split(",") for line in lines[1:]) if lines else rows[1:]
+    for rownum, row in enumerate(body, start=2):
         cells = [cell.strip() for cell in row]
         if len(cells) != len(header):
             raise RaggedRowsError(
@@ -107,27 +110,33 @@ def read_csv_text(text: str, exact: bool = False) -> Dataset:
     return validate_dataset(names, inputs, outputs, columns)
 
 
-def _float_columns(body: list[list[str]], width: int, m: int):
-    """Names, input rows and output rows of ``body``, read a column at a time.
-
-    ``None`` if a row is ragged, a name empty, or a cell outside ``_cell``'s
-    fast branch (short, a valid float, finite, nonzero): the row loop decides.
-    """
-    if set(map(len, body)) != {width}:
+def _plain_lines(text: str) -> list[str] | None:
+    """The non-empty lines of ``text`` if, split at commas, they are ``csv``'s records:
+    no quote, carriage return or NUL, no line beyond ``csv.field_size_limit()``."""
+    if '"' in text or "\r" in text or "\0" in text:
         return None
-    first, *cols = zip(*body)
-    names = [name.strip() for name in first]
-    values = []
-    for col in cols:
-        try:
-            vals = list(map(float, col))
-        except ValueError:
-            return None
-        short = max(map(len, col)) <= _SHORT_CELL
-        if not (short and 0.0 not in vals and math.isfinite(sum(vals))):
-            return None
-        values.append(vals)
-    return (names, zip(*values[:m]), zip(*values[m:])) if all(names) else None
+    lines = [line for line in text.split("\n") if line]
+    return lines if max(map(len, lines), default=0) <= csv.field_size_limit() else None
+
+
+def _float_grid(body: list[str], width: int, m: int):
+    """Names, input rows, output rows and columns of the lines ``body``; column k
+    is ``cells[k::width]``. ``None``, for the row loop to decide, if a line has
+    another width, a name is empty, or a cell is long or off ``_cell``'s fast branch."""
+    if not body or {line.count(",") for line in body} != {width - 1}:
+        return None
+    cells = ",".join(body).split(",")
+    names = [name.strip() for name in cells[::width]]
+    if not all(names) or max(map(len, cells)) > _SHORT_CELL:
+        return None
+    try:
+        values = [list(map(float, cells[k::width])) for k in range(1, width)]
+    except ValueError:
+        return None
+    del cells  # before the rows are built, which would raise the peak of memory
+    if not all(0.0 not in v and math.isfinite(sum(v)) for v in values):
+        return None
+    return tuple(names), tuple(zip(*values[:m])), tuple(zip(*values[m:])), values
 
 
 def _csv_rows(text: str) -> list[list[str]]:
@@ -213,12 +222,8 @@ def write_csv(d: Dataset, destination: Union[str, Path, None] = None) -> str:
         + [f"in_{k + 1}" for k in range(d.m)]
         + [f"out_{k + 1}" for k in range(d.s)]
     )
-    for o in range(d.n):
-        writer.writerow(
-            [d.names[o]]
-            + [_rational(v) for v in d.inputs[o]]
-            + [_rational(v) for v in d.outputs[o]]
-        )
+    cols = [*zip(*d.inputs), *zip(*d.outputs)]
+    writer.writerows(zip(d.names, *(map(_rational, col) for col in cols)))
     return _deliver(buf.getvalue(), destination)
 
 
@@ -238,11 +243,14 @@ def _rational(v: Numeric) -> str:
 
 
 def _digest(d: Dataset) -> str:
-    h = hashlib.sha256()
-    for name, xs, ys in zip(d.names, d.inputs, d.outputs):
-        line = f"{name}|{','.join(map(_rational, xs))}|{','.join(map(_rational, ys))}\n"
-        h.update(line.encode("utf-8"))
-    return h.hexdigest()
+    """sha256 of the lines ``name|x,...|y,...`` of ``_rational`` literals, made a
+    column at a time."""
+    xs, ys = (
+        map(",".join, zip(*(map(_rational, col) for col in zip(*rows))))
+        for rows in (d.inputs, d.outputs)
+    )
+    text = "\n".join([*map("|".join, zip(d.names, xs, ys)), ""])
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _num(v: Any) -> Any:

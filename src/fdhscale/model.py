@@ -150,12 +150,10 @@ def _positive_finite(v: Numeric) -> bool:
         return False
 
 
-def _all_positive_finite(rows: tuple[tuple[Numeric, ...], ...], width: int) -> bool:
-    """True when every row has ``width`` entries and each column is all floats
-    (finite sum) or all Fractions, with a positive minimum; else the row loop judges."""
-    if set(map(len, rows)) != {width}:
-        return False
-    for col in zip(*rows):
+def _valid_columns(cols: Sequence[Sequence[Numeric]]) -> bool:
+    """True when each column is all floats (finite sum) or all Fractions, with a
+    positive minimum; else the row loop judges."""
+    for col in cols:
         kinds = set(map(type, col))
         finite = kinds == {Fraction} or (kinds == {float} and math.isfinite(sum(col)))
         if not (finite and min(col) > 0):
@@ -168,17 +166,6 @@ def _all_positive_finite(rows: tuple[tuple[Numeric, ...], ...], width: int) -> b
 # entry is at most 2**511 times its smallest keeps all of them within the
 # normal double range.
 _FLOAT_SPREAD = 2**511
-
-
-def _check_spread(label: str, column: Sequence[Numeric]) -> None:
-    if all(isinstance(v, Fraction) for v in column):
-        return  # exact arithmetic cannot overflow
-    lo, hi = min(column), max(column)
-    if Fraction(hi) > _FLOAT_SPREAD * Fraction(lo):
-        raise ValueSpreadError(
-            f"column {label!r} spans {lo!r} to {hi!r}; its ratios leave the "
-            "double range (largest/smallest must be at most 2**511)"
-        )
 
 
 def validate_dataset(
@@ -215,7 +202,16 @@ def validate_dataset(
         raise EmptyDatasetError("units must consume at least one input")
     if s == 0:
         raise EmptyDatasetError("units must produce at least one output")
-    if not (_all_positive_finite(rows_x, m) and _all_positive_finite(rows_y, s)):
+    even = set(map(len, rows_x)) == {m} and set(map(len, rows_y)) == {s}
+    cols = [*zip(*rows_x), *zip(*rows_y)] if even else None
+    return _validated(names, rows_x, rows_y, cols, columns)
+
+
+def _validated(names, rows_x, rows_y, cols, columns) -> Dataset:
+    """The checks of :func:`validate_dataset` from the entries on, given the rows'
+    columns ``cols`` (inputs first), or ``None`` when a row is ragged."""
+    m, s = len(rows_x[0]), len(rows_y[0])
+    if cols is None or not _valid_columns(cols):
         for k, (rx, ry) in enumerate(zip(rows_x, rows_y)):
             if len(rx) != m or len(ry) != s:
                 raise RaggedRowsError(f"row {k} ({names[k]!r}) has inconsistent arity")
@@ -228,9 +224,15 @@ def validate_dataset(
         columns = [f"in_{k + 1}" for k in range(m)] + [f"out_{k + 1}" for k in range(s)]
     if len(columns) != m + s:
         raise ValueError(f"{len(columns)} column names for {m + s} columns")
-    for k, label in enumerate(columns):
-        rows, c = (rows_x, k) if k < m else (rows_y, k - m)
-        _check_spread(label, [row[c] for row in rows])
+    for label, col in zip(columns, cols):
+        if all(isinstance(v, Fraction) for v in col):
+            continue  # exact arithmetic cannot overflow
+        lo, hi = min(col), max(col)
+        if Fraction(hi) > _FLOAT_SPREAD * Fraction(lo):
+            raise ValueSpreadError(
+                f"column {label!r} spans {lo!r} to {hi!r}; its ratios leave the "
+                "double range (largest/smallest must be at most 2**511)"
+            )
     seen: set[str] = set()
     for name in names:
         if name in seen:

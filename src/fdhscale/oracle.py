@@ -16,8 +16,8 @@ from exact interval endpoints, never by sampling.
 The curve is evaluated by merging the ascending points against the peers
 sorted by input ratio, O(n log n) instead of a rescan of all n peers per
 point; the fast path's dict and bisection share no code with it.
-``verify_dataset`` builds each unit's pairs once and reads every oracle
-value off them before its checks.
+``verify_dataset`` builds each unit's pairs once, sorted by input ratio,
+and reads every oracle value off them before its checks.
 
 Every function converts the dataset to ``fractions.Fraction`` first, so
 results are exact relative to the stored values.
@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import chain
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
 from . import response, rts
@@ -148,7 +149,7 @@ def _curve_runs(pairs: _Pairs, *runs: Iterable[Fraction]) -> Iterator[_Pair]:
     points ascend; a point below a threshold already passed restarts the
     merge. A point below every ``a`` raises ``ValueError``, as ``max()`` would.
     """
-    ordered = sorted(pairs, key=lambda ab: ab[0])
+    ordered = sorted(pairs, key=itemgetter(0))  # linear on pairs sorted already
     k, best = 0, None
     for p in chain.from_iterable(runs):
         if k and ordered[k - 1][0] > p:
@@ -386,7 +387,7 @@ def verify_dataset(
     efficient = [o for o in range(d.n) if find_dominating(d, Delta.VRS, o) is None]
     items = rts.classify_all(d, tol)
     reports = [o for o in efficient if isinstance(items[o], rts.RtsReport)]
-    pairs = [_exact_pairs(d, o) for o in range(d.n)]
+    pairs = [sorted(_exact_pairs(d, o), key=itemgetter(0)) for o in range(d.n)]
     theta = [{reg: _theta_of(pairs[o], reg) for reg in Delta} for o in range(d.n)]
     phi = [{reg: _phi_of(pairs[o], reg) for reg in Delta} for o in range(d.n)]
     walks = [_curve_check(d, o, pairs[o]) for o in range(d.n)]

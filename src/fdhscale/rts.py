@@ -161,16 +161,17 @@ def classify_all(
     """
     dom = _dominator_sets(d)
     pool = _pool(d, dom)
+    lowest = [next(_units(above), None) for above in dom]  # each unit's witness
+    del dom  # the sets take n bits per unit; only the witnesses are needed now
     px, py = [d.inputs[j] for j in pool], [d.outputs[j] for j in pool]
     out: list[Union[RtsReport, InefficientUnit]] = []
-    for o, above in enumerate(dom):
-        rt = _table(o, px, py, d.inputs[o], d.outputs[o]) if above else ratio_table(d, o)
-        peers = pool if above else range(d.n)
+    for o, w in enumerate(lowest):
+        rt = ratio_table(d, o) if w is None else _table(o, px, py, *d.unit(o))
+        peers = range(d.n) if w is None else pool
         th, ph = (  # witnesses index the table's rows; map them back to the dataset
             {reg: Score(s.value, peers[s.witness], s.delta) for reg, s in side.items()}
             for side in (_thetas(rt), _phis(rt))
         )
-        w = next(_units(above), None)  # the lowest-index dominator
         out.append(_classify(rt, EfficiencyScores(o, th, ph), w, tol))
     return out
 

@@ -119,7 +119,9 @@ def _dominator_sets(d: Dataset) -> list[int]:
             for j in _units(group):
                 better[j] &= seen
                 same[j] &= group
-    return [b & ~e for b, e in zip(better, same)]
+    for j, e in enumerate(same):
+        better[j] &= ~e
+    return better
 
 
 def _units(bits: int) -> Iterator[int]:

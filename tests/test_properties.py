@@ -10,6 +10,7 @@ that floats tend to get wrong, in exact arithmetic.
 """
 
 import contextlib
+import csv
 import functools
 import hashlib
 import io
@@ -611,18 +612,32 @@ FLOAT_CELLS = [
 LONG_CELLS = ["0." + "1" * 5000, "1" + "0" * 5000 + "e-5000", "2." + "5" * 4400]
 
 
+# Cells the csv module reads otherwise than a split at commas would: quoted
+# cells, with or without a comma inside, and malformed quotes.
+QUOTED_CELLS = ['"2.5"', '" 3 "', '"1,5"', '""', '"a""b"', '2"5', '"7"x']
+# Header faults, each checked before any body line is read.
+BAD_HEADERS = ["name,in_0,out_0", "dmu,out_0,in_0", "dmu,in_0,x_0,out_0", "dmu", ""]
+
+
 @st.composite
 def float_csv_texts(draw):
     """Float CSV text of padded cells; some tables have odd cells, ragged rows
-    or odd names, so that either path of ``read_csv_text`` is taken."""
+    or odd names, so that either path of ``read_csv_text`` is taken. Some have
+    quoted cells, blank lines, carriage returns, NULs or a faulty header, which
+    the ``csv`` module reads."""
     m, s = draw(st.integers(1, 2)), draw(st.integers(1, 2))
     pad = st.sampled_from(PADS + (CONTROL_PADS if draw(one_in(4)) else []))
     plain = st.one_of(
         st.floats(1e-3, 1e6).map(repr), st.integers(1, 10**20).map(str)
     ).map(lambda c: draw(pad) + c + draw(pad))
-    odd = st.one_of(st.sampled_from(FLOAT_CELLS), st.sampled_from(LONG_CELLS), cells)
+    odd = st.one_of(
+        st.sampled_from(FLOAT_CELLS + QUOTED_CELLS), st.sampled_from(LONG_CELLS), cells
+    )
     messy, ragged, odd_names = draw(one_in(2)), draw(one_in(4)), draw(one_in(4))
+    quoted = draw(one_in(4))
     lines = ["dmu," + ",".join([f"in_{k}" for k in range(m)] + [f"out_{k}" for k in range(s)])]
+    if draw(one_in(8)):
+        lines[0] = draw(st.sampled_from(BAD_HEADERS))
     for k in range(draw(st.integers(0, 6))):
         width = draw(st.integers(1, 6)) if ragged and draw(one_in(3)) else 1 + m + s
         name = f" U{k}\u00a0" if odd_names else f"U{k}"
@@ -631,7 +646,16 @@ def float_csv_texts(draw):
         row = [name] + [draw(plain) for _ in range(width - 1)]
         if messy and width > 1:
             row[draw(st.integers(1, width - 1))] = draw(odd)
+        if quoted and draw(st.booleans()):
+            j = draw(st.integers(0, width - 1))
+            row[j] = f'"{row[j]}"'
         lines.append(",".join(row))
+    for _ in range(draw(st.integers(0, 2)) if draw(one_in(3)) else 0):
+        blank = draw(st.sampled_from(["", " ", "\t", ",", "\r", "\x00", "U9,\x00,1"]))
+        lines.insert(draw(st.integers(0, len(lines))), blank)
+    if draw(one_in(6)):
+        k = draw(st.integers(0, len(lines) - 1))
+        lines[k] += draw(st.sampled_from(["\r", "\x00", ' "', "\r\r"]))
     return "\n".join(lines) + "\n"
 
 
@@ -648,8 +672,20 @@ def _read_outcome(text):
 def test_column_read_equals_row_loop(text):
     by_columns = _read_outcome(text)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(io_cli, "_float_columns", lambda *args: None)
+        mp.setattr(io_cli, "_plain_lines", lambda text: None)
         assert by_columns == _read_outcome(text)
+
+
+def test_line_beyond_the_field_size_limit_is_the_csv_error():
+    text = "dmu,in_x,out_y\n" + "U" * 150 + ",1,2\n"
+    limit = csv.field_size_limit(100)
+    try:
+        with pytest.raises(ParseError) as caught:
+            f.read_csv_text(text)
+        assert str(caught.value) == "line 2: field larger than field limit (100)"
+        assert f.read_csv_text(text.replace("U" * 150, "U" * 100)).names == ("U" * 100,)
+    finally:
+        csv.field_size_limit(limit)
 
 
 validation_entries = st.one_of(
@@ -699,7 +735,7 @@ def _validate_outcome(table):
 def test_bulk_validation_equals_row_loop(table):
     bulk = _validate_outcome(table)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(model, "_all_positive_finite", lambda *args: False)
+        mp.setattr(model, "_valid_columns", lambda cols: False)
         assert bulk == _validate_outcome(table)
 
 
@@ -718,8 +754,13 @@ def _digest_by_fraction(d):
     return h.hexdigest()
 
 
-entries = st.one_of(
+float_entries = st.one_of(
     st.floats(min_value=0, exclude_min=True, allow_infinity=False),
+    st.sampled_from([1.0, 2.0, 2.0**60, 0.5, 3e300]),
+    st.integers(1, 2**70).map(float),
+)
+entries = st.one_of(
+    float_entries,
     st.integers(1, 10**30),
     st.fractions(min_value=F(1, 10**12), max_value=F(10**12)),
 )
@@ -727,17 +768,30 @@ entries = st.one_of(
 
 @st.composite
 def raw_datasets(draw):
-    """Unvalidated datasets mixing float, int and Fraction entries."""
-    n, m, s = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    """Unvalidated datasets: each column all floats, as in a parsed file, or a
+    mix of float, int and Fraction entries."""
+    n, m, s = draw(st.integers(1, 5)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    kinds = [draw(st.sampled_from([float_entries, entries])) for _ in range(m + s)]
     names = tuple(draw(st.text(max_size=4)) for _ in range(n))
-    inputs = tuple(tuple(draw(entries) for _ in range(m)) for _ in range(n))
-    outputs = tuple(tuple(draw(entries) for _ in range(s)) for _ in range(n))
+    inputs = tuple(tuple(draw(kinds[c]) for c in range(m)) for _ in range(n))
+    outputs = tuple(tuple(draw(kinds[m + c]) for c in range(s)) for _ in range(n))
     return f.Dataset(names, inputs, outputs)
 
 
 @given(raw_datasets())
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=150, deadline=None)
 def test_digest_equals_fraction_strings(d):
+    assert _digest(d) == _digest_by_fraction(d)
+
+
+def test_digest_of_a_large_float_csv_equals_fraction_strings():
+    rng = random.Random(18)
+    lines = ["dmu,in_1,in_2,in_3,out_1,out_2"]
+    for k in range(4000):
+        cells = [repr(math.exp(rng.gauss(0, 3))) for _ in range(5)]
+        lines.append(",".join([f"U{k}", *cells[:4], str(rng.randint(1, 9))]))
+    d = f.read_csv_text("\n".join(lines) + "\n")
+    assert d.n == 4000
     assert _digest(d) == _digest_by_fraction(d)
 
 
