@@ -35,8 +35,7 @@ from .errors import (
     UnclassifiableError,
     ValueSpreadError,
 )
-from .model import Dataset, Delta, Numeric, Orientation, Tolerance
-from .model import _validated, validate_dataset
+from .model import Dataset, Delta, Numeric, Orientation, Tolerance, validate_dataset
 from .oracle import OracleConfig, merge_checks, verify_dataset, verify_random
 from .response import build_response
 from .rts import InefficientUnit, RtsReport, classify_all, classify_unit
@@ -91,7 +90,7 @@ def read_csv_text(text: str, exact: bool = False) -> Dataset:
     columns = [header[c] for c in in_cols + out_cols]
     grid = lines and not exact and _float_grid(lines[1:], len(header), len(in_cols))
     if grid:
-        return _validated(*grid, columns)
+        return validate_dataset(*grid, columns)
     names: list[str] = []
     inputs: list[list[Numeric]] = []
     outputs: list[list[Numeric]] = []
@@ -120,8 +119,8 @@ def _plain_lines(text: str) -> list[str] | None:
 
 
 def _float_grid(body: list[str], width: int, m: int):
-    """Names, input rows, output rows and columns of the lines ``body``; column k
-    is ``cells[k::width]``. ``None``, for the row loop to decide, if a line has
+    """Names, input rows and output rows of the lines ``body``, from column k as
+    ``cells[k::width]``. ``None``, for the row loop to decide, if a line has
     another width, a name is empty, or a cell is long or off ``_cell``'s fast branch."""
     if not body or {line.count(",") for line in body} != {width - 1}:
         return None
@@ -136,7 +135,7 @@ def _float_grid(body: list[str], width: int, m: int):
     del cells  # before the rows are built, which would raise the peak of memory
     if not all(0.0 not in v and math.isfinite(sum(v)) for v in values):
         return None
-    return tuple(names), tuple(zip(*values[:m])), tuple(zip(*values[m:])), values
+    return names, tuple(zip(*values[:m])), tuple(zip(*values[m:]))
 
 
 def _csv_rows(text: str) -> list[list[str]]:
@@ -222,8 +221,7 @@ def write_csv(d: Dataset, destination: Union[str, Path, None] = None) -> str:
         + [f"in_{k + 1}" for k in range(d.m)]
         + [f"out_{k + 1}" for k in range(d.s)]
     )
-    cols = [*zip(*d.inputs), *zip(*d.outputs)]
-    writer.writerows(zip(d.names, *(map(_rational, col) for col in cols)))
+    writer.writerows(zip(d.names, *(map(_rational, col) for col in d.columns)))
     return _deliver(buf.getvalue(), destination)
 
 
@@ -245,11 +243,8 @@ def _rational(v: Numeric) -> str:
 def _digest(d: Dataset) -> str:
     """sha256 of the lines ``name|x,...|y,...`` of ``_rational`` literals, made a
     column at a time."""
-    xs, ys = (
-        map(",".join, zip(*(map(_rational, col) for col in zip(*rows))))
-        for rows in (d.inputs, d.outputs)
-    )
-    text = "\n".join([*map("|".join, zip(d.names, xs, ys)), ""])
+    line = "|".join(["{}", ",".join(["{}"] * d.m), ",".join(["{}"] * d.s)]).format
+    text = "\n".join([*map(line, d.names, *(map(_rational, c) for c in d.columns)), ""])
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
@@ -457,9 +452,12 @@ def _build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, input_required: bool = True) -> None:
+    def common(p: argparse.ArgumentParser, input_required=True, eps=True) -> None:
         p.add_argument("--input", required=input_required, help="dataset CSV path")
-        p.add_argument("--eps", type=float, default=1e-9, help="classification tolerance")
+        if eps:  # response reads no tolerance
+            p.add_argument(
+                "--eps", type=float, default=1e-9, help="classification tolerance"
+            )
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
     def projectable(p: argparse.ArgumentParser) -> None:
@@ -508,7 +506,7 @@ def _build_parser() -> _Parser:
     )
 
     p = sub.add_parser("response", help="step list of one unit's response function")
-    common(p)
+    common(p, eps=False)
     p.add_argument("--dmu", required=True, help="unit name")
     p.add_argument("--alpha-max", type=_float, default=None, help="cap listed thresholds")
     p.set_defaults(

@@ -19,6 +19,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
+from itertools import repeat
+from operator import itemgetter, truediv
 from typing import Sequence, Union
 
 from .errors import (
@@ -101,6 +104,12 @@ class Dataset:
     @property
     def s(self) -> int:
         return len(self.outputs[0])
+
+    @cached_property
+    def columns(self) -> tuple[tuple[Numeric, ...], ...]:
+        """The m input columns, then the s output columns, built once from the rows."""
+        rows = (self.inputs, self.outputs)  # a transpose by zip makes an iterator per row
+        return tuple(tuple(map(itemgetter(k), r)) for r in rows for k in range(len(r[0])))
 
     def unit(self, o: int) -> tuple[tuple[Numeric, ...], tuple[Numeric, ...]]:
         """Input and output vectors of unit ``o``."""
@@ -196,22 +205,14 @@ def validate_dataset(
         raise RaggedRowsError(
             f"{len(names)} names but {len(rows_x)} input rows and {len(rows_y)} output rows"
         )
-    m = len(rows_x[0])
-    s = len(rows_y[0])
+    m, s = len(rows_x[0]), len(rows_y[0])
     if m == 0:
         raise EmptyDatasetError("units must consume at least one input")
     if s == 0:
         raise EmptyDatasetError("units must produce at least one output")
+    d = Dataset(names, rows_x, rows_y)
     even = set(map(len, rows_x)) == {m} and set(map(len, rows_y)) == {s}
-    cols = [*zip(*rows_x), *zip(*rows_y)] if even else None
-    return _validated(names, rows_x, rows_y, cols, columns)
-
-
-def _validated(names, rows_x, rows_y, cols, columns) -> Dataset:
-    """The checks of :func:`validate_dataset` from the entries on, given the rows'
-    columns ``cols`` (inputs first), or ``None`` when a row is ragged."""
-    m, s = len(rows_x[0]), len(rows_y[0])
-    if cols is None or not _valid_columns(cols):
+    if not (even and _valid_columns(d.columns)):
         for k, (rx, ry) in enumerate(zip(rows_x, rows_y)):
             if len(rx) != m or len(ry) != s:
                 raise RaggedRowsError(f"row {k} ({names[k]!r}) has inconsistent arity")
@@ -224,7 +225,7 @@ def _validated(names, rows_x, rows_y, cols, columns) -> Dataset:
         columns = [f"in_{k + 1}" for k in range(m)] + [f"out_{k + 1}" for k in range(s)]
     if len(columns) != m + s:
         raise ValueError(f"{len(columns)} column names for {m + s} columns")
-    for label, col in zip(columns, cols):
+    for label, col in zip(columns, d.columns):
         if all(isinstance(v, Fraction) for v in col):
             continue  # exact arithmetic cannot overflow
         lo, hi = min(col), max(col)
@@ -238,7 +239,7 @@ def _validated(names, rows_x, rows_y, cols, columns) -> Dataset:
         if name in seen:
             raise DuplicateNameError(f"duplicate unit name {name!r}")
         seen.add(name)
-    return Dataset(names, rows_x, rows_y)
+    return d
 
 
 @dataclass(frozen=True)
@@ -258,17 +259,17 @@ class RatioTable:
 def ratio_table(d: Dataset, o: int) -> RatioTable:
     """Ratio table of dataset ``d`` against reference unit ``o``."""
     check_index(d, o)
-    return _table(o, d.inputs, d.outputs, d.inputs[o], d.outputs[o])
+    return _table(o, d.columns[: d.m], d.columns[d.m :], d.inputs[o], d.outputs[o])
 
 
-def _table(o: int, inputs, outputs, xo, yo) -> RatioTable:
-    """Table of the rows ``inputs``/``outputs`` against the vectors ``xo``/``yo``.
+def _table(o: int, in_cols, out_cols, xo, yo) -> RatioTable:
+    """Table of the columns ``in_cols``/``out_cols`` against the vectors ``xo``/``yo``.
 
-    Built a column at a time: one list of quotients per column, then the
-    worst quotient of each row across the lists, in column order.
+    One list of quotients per column, then the worst quotient of each row
+    across the lists, in column order.
     """
-    alpha = _worst(max, [[v / r for v in col] for col, r in zip(zip(*inputs), xo)])
-    beta = _worst(min, [[v / r for v in col] for col, r in zip(zip(*outputs), yo)])
+    alpha = _worst(max, [list(map(truediv, c, repeat(r))) for c, r in zip(in_cols, xo)])
+    beta = _worst(min, [list(map(truediv, c, repeat(r))) for c, r in zip(out_cols, yo)])
     return RatioTable(o, alpha, beta)
 
 

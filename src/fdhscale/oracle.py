@@ -302,9 +302,10 @@ def _system_classes(pairs: _Pairs) -> tuple[Enum, Enum]:
 
 
 def _score_failures(
-    d: Dataset, item: rts.RtsReport | rts.InefficientUnit
+    d: Dataset, item: rts.RtsReport | rts.InefficientUnit, lowest: int | None
 ) -> Iterator[str]:
-    """Bounds, regime nesting and witness feasibility of one unit's scores."""
+    """Bounds, regime nesting and witness feasibility of one unit's scores, and
+    a dominated unit's witness against ``lowest``, the oracle's lowest-index one."""
     o, sc = item.reference, item.scores
     t = {reg: sc.theta[reg].value for reg in Delta}
     p = {reg: sc.phi[reg].value for reg in Delta}
@@ -335,6 +336,8 @@ def _score_failures(
                 and all(f * v >= grow * w for v, w in zip(yj, yo))
             ):
                 yield f"witness infeasible for {d.names[o]} under {reg.value}"
+    if isinstance(item, rts.InefficientUnit) and lowest not in (None, item.witness):
+        yield f"{d.names[o]} is dominated by {d.names[lowest]}, not {d.names[item.witness]}"
 
 
 def _curve_check(d: Dataset, o: int, pairs: _Pairs) -> tuple[str | None, int]:
@@ -376,15 +379,16 @@ def verify_dataset(
     """Run the full cross-check battery on one dataset, in exact arithmetic.
 
     The fast side is what a report prints: one :func:`classify_all` (scores,
-    scale-size flags, ratios and classes) plus each unit's response function.
-    Each oracle value is read once per unit off the unit's pairs: the scores
-    per regime, one curve walk for the response check, both ratios at the
-    pairs' own thresholds, the scaling systems.
+    scale-size flags, ratios, classes, dominance and its witnesses) plus each
+    unit's response function. Per unit, the oracle finds the lowest dominator
+    and reads every other value off the unit's pairs: the scores per regime, one
+    curve walk, both ratios at the pairs' own thresholds, the scaling systems.
     The checks then compare with zero tolerance. Returns one result per named check.
     ``cfg`` is accepted, not read.
     """
     d = d.as_exact()
-    efficient = [o for o in range(d.n) if find_dominating(d, Delta.VRS, o) is None]
+    lowest = [find_dominating(d, Delta.VRS, o) for o in range(d.n)]
+    efficient = [o for o, w in enumerate(lowest) if w is None]
     items = rts.classify_all(d, tol)
     reports = [o for o in efficient if isinstance(items[o], rts.RtsReport)]
     pairs = [sorted(_exact_pairs(d, o), key=itemgetter(0)) for o in range(d.n)]
@@ -414,7 +418,7 @@ def verify_dataset(
     )
     run(
         "radial-score-bounds-and-witnesses",
-        [bad for item in items for bad in _score_failures(d, item)],
+        [bad for item, w in zip(items, lowest) for bad in _score_failures(d, item, w)],
         (1 + 2 * len(Delta)) * d.n,
     )
     run(
@@ -432,10 +436,12 @@ def verify_dataset(
         sum(count for _, count in walks),
     )
 
-    marked = [
+    marked = [  # the split into efficient and dominated units, both ways
         f"{d.names[o]} is efficient but the fast path marks it dominated"
-        for o in efficient
-        if o not in reports
+        if w is None
+        else f"{d.names[o]} is dominated but the fast path reports it efficient"
+        for o, w in enumerate(lowest)
+        if (w is None) != isinstance(items[o], rts.RtsReport)
     ]
     for side, check, key in (
         (0, "max-incremental-ratio-matches-sweep", "sigma_plus"),

@@ -64,20 +64,13 @@ def _side_class(kind: type[Enum], ratio: RatioValue, tol: Tolerance) -> Enum:
     return kind.CRS
 
 
-def _close(a: Numeric, b: Numeric, eps: float) -> bool:
-    scale = max(1, abs(a), abs(b))
-    return abs(a - b) <= eps * scale
-
-
-def _grs(theta: Mapping[Delta, Score], tol: Tolerance) -> GrsClass:
-    tc = theta[Delta.CRS].value
-    tni = theta[Delta.NIRS].value
-    tnd = theta[Delta.NDRS].value
-    eps = tol.eps
-    eq_ni = _close(tc, tni, eps)
-    eq_nd = _close(tc, tnd, eps)
+def _grs(theta: Mapping[Delta, Score], mpss: bool, tol: Tolerance) -> GrsClass:
+    """Scores within eps are equal; with all three equal, G-CRS at the most
+    productive scale size ``mpss``, else G-SCRS."""
+    tc, tni, tnd = (theta[reg].value for reg in (Delta.CRS, Delta.NIRS, Delta.NDRS))
+    eq_ni, eq_nd = abs(tc - tni) <= tol.eps, abs(tc - tnd) <= tol.eps
     if eq_ni and eq_nd:
-        return GrsClass.CRS if _close(tc, 1, eps) else GrsClass.SCRS
+        return GrsClass.CRS if mpss else GrsClass.SCRS
     if eq_ni and tnd > tc:
         return GrsClass.IRS
     if eq_nd and tni > tc:
@@ -144,7 +137,7 @@ def _classify(
             _side_class(RightRts, sigma.sigma_plus, tol),
             _side_class(LeftRts, sigma.sigma_minus, tol),
         ),
-        grs=_grs(scores.theta, tol),
+        grs=_grs(scores.theta, mpss, tol),
         sigma=sigma,
         mpss=mpss,
         scores=scores,
@@ -163,10 +156,11 @@ def classify_all(
     pool = _pool(d, dom)
     lowest = [next(_units(above), None) for above in dom]  # each unit's witness
     del dom  # the sets take n bits per unit; only the witnesses are needed now
-    px, py = [d.inputs[j] for j in pool], [d.outputs[j] for j in pool]
+    cols = [[col[j] for j in pool] for col in d.columns]  # the pool's columns
+    ins, outs = cols[: d.m], cols[d.m :]
     out: list[Union[RtsReport, InefficientUnit]] = []
     for o, w in enumerate(lowest):
-        rt = ratio_table(d, o) if w is None else _table(o, px, py, *d.unit(o))
+        rt = ratio_table(d, o) if w is None else _table(o, ins, outs, *d.unit(o))
         peers = range(d.n) if w is None else pool
         th, ph = (  # witnesses index the table's rows; map them back to the dataset
             {reg: Score(s.value, peers[s.witness], s.delta) for reg, s in side.items()}

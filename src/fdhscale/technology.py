@@ -111,7 +111,7 @@ def _dominator_sets(d: Dataset) -> list[int]:
     no larger, an output no smaller), less the AND of those equal to it there,
     its identical copies (docs/derivations.md, "Frontier first")."""
     better, same = [-1] * d.n, [-1] * d.n
-    for i, col in enumerate([*zip(*d.inputs), *zip(*d.outputs)]):
+    for i, col in enumerate(d.columns):
         order, seen = sorted(range(d.n), key=col.__getitem__, reverse=i >= d.m), 0
         for _, run in groupby(order, col.__getitem__):
             group = sum(1 << j for j in run)

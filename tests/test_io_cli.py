@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import fdhscale as f
-from fdhscale import Delta, Orientation, Tolerance
+from fdhscale import Delta, Orientation, Tolerance, io_cli
 
 from conftest import make_staircase, with_dominated
 
@@ -88,6 +88,19 @@ class TestReadCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(f.ParseError):
             f.read_csv(tmp_path / "absent.csv")
+
+    def test_plain_float_grid_is_checked_by_validate_dataset(self, monkeypatch):
+        calls, right = [], io_cli.validate_dataset
+
+        def spy(*args):
+            calls.append(args)
+            return right(*args)
+
+        monkeypatch.setattr(io_cli, "validate_dataset", spy)
+        monkeypatch.setattr(io_cli, "_cell", None)  # the row loop would fail
+        d = f.read_csv_text("dmu,in_a,out_b\nU,1.5,2\nV,3,0.25\n")
+        assert [args[3] for args in calls] == [["in_a", "out_b"]]
+        assert d.columns == ((1.5, 3.0), (2.0, 0.25))
 
 
 class TestWriteCsv:
@@ -415,6 +428,17 @@ class TestCli:
             argv += ["--dmu", "B"]
         code, _, err = self.run(capsys, *argv)
         assert code == 1 and "--project" in err
+
+    @pytest.mark.parametrize(
+        "command", ["efficiency", "classify", "ratios", "response", "report", "verify"]
+    )
+    def test_eps_flag_only_where_it_applies(self, capsys, stair_csv, command):
+        # response reads no tolerance, so it refuses --eps; the rest take it
+        argv = [command, "--input", str(stair_csv), "--eps", "1e-6"]
+        argv += ["--dmu", "B"] if command in ("ratios", "response") else []
+        argv += ["--trials", "0"] if command == "verify" else []
+        code, _, err = self.run(capsys, *argv)
+        assert (code, "--eps" in err) == ((1, True) if command == "response" else (0, False))
 
     def test_missing_file_is_data_error(self, capsys):
         code, _, err = self.run(capsys, "report", "--input", "/no/such/file.csv")

@@ -356,13 +356,17 @@ FAULT_DIGESTS = {
     "changed-step-value": (3, "c30144fc5cb55691c408822cc170fe536b8d946c9b9b74d6455e4b0e6d6c93c4"),
     "ratio_table": (3, "dc7e11c504bb28565629fea65c40272af560a7dfcd1db10c95f1fc9863027d24"),
     "_exact_pairs": (3, "8eb0de639105ebd7939b94a9df43f45b6383a1be45a83a6cfe4e3fab95f94789"),
+    # on the CSV of with_dominated() instead
+    "dominated-reported-efficient": (
+        3,
+        "3b40954d2c0a2ba1a4f7b87de06ee27b917522b55334f9302e3fbbcac1fe6dbb",
+    ),
+    "self-witness": (3, "cb8a6f11b6bb1dcbf9620ffc99e42dd66e613343ea85f23652390c842d20113e"),
 }
 
 
-def _verify_stair(capsys, stair_csv):
-    code = f.main(
-        ["verify", "--input", str(stair_csv), "--trials", "0", "--grid-steps", "100"]
-    )
+def _verify_csv(capsys, path):
+    code = f.main(["verify", "--input", str(path), "--trials", "0", "--grid-steps", "100"])
     out = capsys.readouterr().out
     status = {line.split()[0]: line.split(maxsplit=2)[1:] for line in out.splitlines()}
     return code, out, status
@@ -398,7 +402,7 @@ class TestPlantedFaults:
     ):
         right = getattr(module, attr)
         monkeypatch.setattr(module, attr, lambda *args: nudge(right(*args)))
-        code, out, status = _verify_stair(capsys, stair_csv)
+        code, out, status = _verify_csv(capsys, stair_csv)
         assert status[check][0] == "FAIL"
         assert status["overall"] == ["FAIL"] and code == 3
         assert _digest(code, out) == FAULT_DIGESTS[attr]
@@ -419,7 +423,7 @@ class TestPlantedFaults:
         self, capsys, monkeypatch, stair_csv, fault, attr, plant
     ):
         monkeypatch.setattr(efficiency, attr, plant(getattr(efficiency, attr)))
-        code, out, status = _verify_stair(capsys, stair_csv)
+        code, out, status = _verify_csv(capsys, stair_csv)
         assert status["radial-scores-match-enumeration"][0] == "FAIL"
         assert status["overall"] == ["FAIL"] and code == 3
         assert _digest(code, out) == FAULT_DIGESTS[fault]
@@ -433,13 +437,55 @@ class TestPlantedFaults:
             "_classify",
             lambda rt, scores, w, tol: right(rt, scores, 0 if rt.reference == 3 else w, tol),
         )
-        code, out, status = _verify_stair(capsys, stair_csv)
+        code, out, status = _verify_csv(capsys, stair_csv)
         assert status["max-incremental-ratio-matches-sweep"] == [
             "FAIL",
             "D is efficient but the fast path marks it dominated",
         ]
         assert status["overall"] == ["FAIL"] and code == 3
         assert _digest(code, out) == FAULT_DIGESTS["dominated-marker"]
+
+    @pytest.mark.parametrize(
+        "fault,witness,check,detail",
+        [
+            pytest.param(
+                "dominated-reported-efficient",
+                None,
+                "max-incremental-ratio-matches-sweep",
+                "E is dominated but the fast path reports it efficient",
+                id="dominated-reported-efficient",
+            ),
+            pytest.param(
+                "self-witness",
+                4,
+                "radial-score-bounds-and-witnesses",
+                "E is dominated by B, not E",
+                id="self-witness",
+            ),
+        ],
+    )
+    def test_dominated_unit_reported_efficient_or_self_dominated_fails(
+        self, capsys, monkeypatch, tmp_path, fault, witness, check, detail
+    ):
+        # E (4, 4) is dominated by B (3, 4) alone; the fault calls it efficient,
+        # or names E itself as the unit dominating it
+        path = tmp_path / "dominated.csv"
+        f.write_csv(with_dominated(), path)
+        right = rts._classify
+        monkeypatch.setattr(
+            rts,
+            "_classify",
+            lambda rt, scores, w, tol: right(
+                rt, scores, witness if rt.reference == 4 else w, tol
+            ),
+        )
+        code, out, status = _verify_csv(capsys, path)
+        assert [name for name, (word, *_) in status.items() if word == "FAIL"] == [
+            check,
+            "overall",
+        ]
+        assert status[check] == ["FAIL", detail] and code == 3
+        assert _digest(code, out) == FAULT_DIGESTS[fault]
 
     @pytest.mark.parametrize(
         "fault,change",
@@ -466,7 +512,7 @@ class TestPlantedFaults:
         monkeypatch.setattr(
             response, "build_response", lambda d, o: _d_steps(change)(right(d, o))
         )
-        code, out, status = _verify_stair(capsys, stair_csv)
+        code, out, status = _verify_csv(capsys, stair_csv)
         assert status["response-curve-matches-sweep"][0] == "FAIL"
         assert status["max-incremental-ratio-matches-sweep"][0] == "PASS"
         assert status["min-decremental-ratio-matches-sweep"][0] == "PASS"
@@ -537,7 +583,7 @@ class TestPlantedFaults:
         self, capsys, monkeypatch, stair_csv, fault, plant, checks
     ):
         plant(monkeypatch)
-        code, out, status = _verify_stair(capsys, stair_csv)
+        code, out, status = _verify_csv(capsys, stair_csv)
         assert [name for name in checks if status[name][0] == "FAIL"] == checks
         assert status["overall"] == ["FAIL"] and code == 3
         assert _digest(code, out) == FAULT_DIGESTS[fault]

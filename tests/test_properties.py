@@ -784,6 +784,41 @@ def test_digest_equals_fraction_strings(d):
     assert _digest(d) == _digest_by_fraction(d)
 
 
+def _rows_transposed(d):
+    return tuple(
+        tuple(row[k] for row in rows)
+        for rows in (d.inputs, d.outputs)
+        for k in range(len(rows[0]))
+    )
+
+
+def _float_csv_text(d):
+    """A plain CSV of ``d``'s entries as float literals, which the grid reads."""
+    lines = ["dmu," + ",".join([f"in_{k}" for k in range(d.m)] + [f"out_{k}" for k in range(d.s)])]
+    for name, x, y in zip(d.names, d.inputs, d.outputs):
+        lines.append(",".join([name, *(repr(float(v)) for v in x + y)]))
+    return "\n".join(lines) + "\n"
+
+
+@given(raw_datasets(), datasets())
+@settings(max_examples=150, deadline=None)
+def test_columns_are_the_rows_transposed(raw, d):
+    copies = [
+        raw,
+        raw.as_exact(),
+        d,
+        d.as_float(),
+        d.as_float().as_exact(),
+        f.read_csv_text(f.write_csv(d), exact=True),
+        f.read_csv_text(_float_csv_text(d)),
+    ]
+    for item in f.classify_all(d):
+        if isinstance(item, f.InefficientUnit):
+            copies.append(io_cli._project(d, item))
+    for c in copies:
+        assert c.columns == _rows_transposed(c)
+
+
 def test_digest_of_a_large_float_csv_equals_fraction_strings():
     rng = random.Random(18)
     lines = ["dmu,in_1,in_2,in_3,out_1,out_2"]
