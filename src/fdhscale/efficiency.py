@@ -3,26 +3,20 @@
 The scores come from closed forms over the ratio table rather than from a
 solver: with one active unit the inner problem is one-dimensional in the
 scaling factor, whose optimum sits at an interval endpoint. Per
-orientation, three reductions over the table give all four regimes. The
-oracle module re-derives every score by brute-force interval enumeration,
-and the test suite holds the two paths equal (docs/derivations.md).
+orientation, one pass over the table gives all four regimes, joining the
+combined ones inline, with witnesses as dataset indices. The oracle module
+re-derives every score by brute-force interval enumeration, and the test
+suite holds the two paths equal (docs/derivations.md).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress, repeat
-from operator import attrgetter, ge, le, not_, truediv
-from typing import Mapping
+from operator import ge, le, not_, truediv
+from typing import Mapping, Sequence
 
-from .model import (
-    Dataset,
-    Delta,
-    Numeric,
-    Orientation,
-    RatioTable,
-    ratio_table,
-)
+from .model import Dataset, Delta, Numeric, Orientation, RatioTable, ratio_table
 
 
 @dataclass(frozen=True)
@@ -39,11 +33,11 @@ def theta(d: Dataset, delta: Delta, o: int) -> Score:
 
     Always in (0, 1]; the unit itself guarantees feasibility.
     """
-    return _thetas(ratio_table(d, o))[delta]
+    return _thetas(ratio_table(d, o), range(d.n))[delta]
 
 
-def _thetas(rt: RatioTable) -> dict[Delta, Score]:
-    vrs, nirs, ndrs, crs = _side(min, rt.alpha, rt.beta, ge)
+def _thetas(rt: RatioTable, peers: Sequence[int]) -> dict[Delta, Score]:
+    vrs, nirs, ndrs, crs = _side(min, rt.alpha, rt.beta, ge, peers)
     return {Delta.VRS: vrs, Delta.CRS: crs, Delta.NIRS: nirs, Delta.NDRS: ndrs}
 
 
@@ -52,11 +46,11 @@ def phi(d: Dataset, delta: Delta, o: int) -> Score:
 
     Always finite and >= 1.
     """
-    return _phis(ratio_table(d, o))[delta]
+    return _phis(ratio_table(d, o), range(d.n))[delta]
 
 
-def _phis(rt: RatioTable) -> dict[Delta, Score]:
-    vrs, ndrs, nirs, crs = _side(max, rt.beta, rt.alpha, le)
+def _phis(rt: RatioTable, peers: Sequence[int]) -> dict[Delta, Score]:
+    vrs, ndrs, nirs, crs = _side(max, rt.beta, rt.alpha, le, peers)
     return {Delta.VRS: vrs, Delta.CRS: crs, Delta.NIRS: nirs, Delta.NDRS: ndrs}
 
 
@@ -67,37 +61,35 @@ def radial(d: Dataset, delta: Delta, orientation: Orientation, o: int) -> Score:
 
 @dataclass(frozen=True)
 class EfficiencyScores:
-    """Both orientations under all four regimes for one unit."""
+    """Both orientations under all four regimes for one unit, in ``Delta`` order."""
 
     reference: int
     theta: Mapping[Delta, Score]
     phi: Mapping[Delta, Score]
 
 
-def _side(pick, own, scale, fits) -> tuple[Score, Score, Score, Score]:
-    """Scores at factor 1, scaled, and each joined with the peers that miss at 1.
+def _side(pick, own, scale, fits, peers) -> tuple[Score, Score, Score, Score]:
+    """Scores at factor 1, scaled, combined and at any factor; witnesses from ``peers``.
 
     Peer j's candidates are ``own[j]`` at factor 1 and ``own[j] / scale[j]``
     at the factor where it just fits; it fits at 1 when ``fits(scale[j], 1)``.
+    Each score is the first extreme of its candidates: the lowest row on a tie.
     """
     ratio = list(map(truediv, own, scale))
     inside = list(map(fits, scale, repeat(1)))
-    fixed, scaled = _best(pick, own, inside), _best(pick, ratio, inside, scale)
-    outside = _best(pick, ratio, list(map(not_, inside)), scale)
-    return fixed, scaled, _join(pick, fixed, outside), _join(pick, scaled, outside)
-
-
-def _best(pick, values, rows: list[bool], scale=None) -> Score | None:
-    """The first extreme over ``rows``: the lowest index on a tie; None if no rows."""
-    kept = list(compress(values, rows))
-    if not kept:
-        return None
-    j = list(compress(range(len(rows)), rows))[kept.index(pick(kept))]
-    return Score(values[j], j, 1 if scale is None else 1 / scale[j])
-
-
-def _join(pick, inner: Score, outer: Score | None) -> Score:
-    """The better score, a missing one skipped; a tie goes to the lower witness."""
-    pair = sorted(filter(None, (inner, outer)), key=attrgetter("witness"))
-    return pick(pair, key=attrgetter("value"))
-
+    rows = list(compress(range(len(inside)), inside))
+    kept = list(compress(own, inside))
+    f = rows[kept.index(pick(kept))]
+    kept = list(compress(ratio, inside))
+    j = rows[kept.index(pick(kept))]
+    k = ratio.index(pick(ratio))
+    combined = fixed = Score(own[f], peers[f], 1)
+    if len(rows) < len(inside):
+        v = pick(compress(ratio, map(not_, inside)))
+        m = ratio.index(v)
+        while inside[m]:  # an earlier row that fits may share the value
+            m = ratio.index(v, m + 1)
+        if pick(own[f], v) != own[f] or v == own[f] and m < f:
+            combined = Score(v, peers[m], 1 / scale[m])
+    scaled = Score(ratio[j], peers[j], 1 / scale[j])
+    return fixed, scaled, combined, Score(ratio[k], peers[k], 1 / scale[k])

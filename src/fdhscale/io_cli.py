@@ -300,6 +300,9 @@ def _classified_units(d: Dataset, tol: Tolerance, project: bool):
     return out
 
 
+_REGIMES = tuple(reg.value for reg in Delta)  # a record's score keys, in Delta order
+
+
 def _report_record(
     d: Dataset, item, projected: bool, include_flag: bool, full_scores: bool
 ) -> dict:
@@ -309,10 +312,11 @@ def _report_record(
     if include_flag:
         rec["projected"] = projected
     witnesses: dict[str, Any] = {}
-    if full_scores:
+    if full_scores:  # score mappings are keyed in Delta order, as _REGIMES is
         for key, scores in (("theta", item.scores.theta), ("phi", item.scores.phi)):
-            rec[key] = {reg.value: _num(scores[reg].value) for reg in Delta}
-            witnesses[key] = {reg.value: d.names[scores[reg].witness] for reg in Delta}
+            kept = scores.values()
+            rec[key] = dict(zip(_REGIMES, [_num(sc.value) for sc in kept]))
+            witnesses[key] = dict(zip(_REGIMES, [d.names[sc.witness] for sc in kept]))
     else:
         rec["theta_vrs"] = _num(item.scores.theta[Delta.VRS].value)
     rec["mpss"] = item.mpss

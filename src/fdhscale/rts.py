@@ -118,7 +118,7 @@ def classify_unit(
             pattern, which only float rounding can cause.
     """
     rt = ratio_table(d, o)
-    scores = EfficiencyScores(o, _thetas(rt), _phis(rt))
+    scores = EfficiencyScores(o, _thetas(rt, range(d.n)), _phis(rt, range(d.n)))
     return _classify(rt, scores, dominating_peer(d, rt), tol)
 
 
@@ -162,11 +162,8 @@ def classify_all(
     for o, w in enumerate(lowest):
         rt = ratio_table(d, o) if w is None else _table(o, ins, outs, *d.unit(o))
         peers = range(d.n) if w is None else pool
-        th, ph = (  # witnesses index the table's rows; map them back to the dataset
-            {reg: Score(s.value, peers[s.witness], s.delta) for reg, s in side.items()}
-            for side in (_thetas(rt), _phis(rt))
-        )
-        out.append(_classify(rt, EfficiencyScores(o, th, ph), w, tol))
+        scores = EfficiencyScores(o, _thetas(rt, peers), _phis(rt, peers))
+        out.append(_classify(rt, scores, w, tol))
     return out
 
 

@@ -128,6 +128,47 @@ class TestStructure:
             f.theta(stair, Delta.VRS, -1)
 
 
+def combined_tie(order: str) -> f.Dataset:
+    """Units junk, then small, mid and big in ``order``, then the reference r.
+
+    r (inputs 4, outputs 2) is dominated by mid alone. Under NDRS, mid fits
+    r's outputs at factor 1 with theta 1/2, and small (half of mid) misses
+    them, fitting at factor 2 with the same 1/2. Under NIRS phi, mid reaches
+    1 at factor 1, and big (four times mid) misses r's inputs, fitting at
+    factor 1/2 with the same 1. junk is dominated and ties no efficient unit,
+    so the pool that r's table is built over skips it: pool rows and dataset
+    indices differ by one.
+    """
+    units = {"small": (1, 1), "mid": (2, 2), "big": (8, 4)}
+    names = ["junk", *order.split(), "r"]
+    rows = [(5, F(1, 2))] + [units[n] for n in order.split()] + [(4, 2)]
+    return f.validate_dataset(names, [[F(x)] for x, _ in rows], [[F(y)] for _, y in rows])
+
+
+class TestCombinedRegimeTie:
+    """The fixed score and the scaled score of a peer that misses at 1 tie:
+    the lower index wins, with its own scaling factor."""
+
+    @pytest.mark.parametrize(
+        "order",
+        ["small mid big", "small big mid", "mid small big", "mid big small",
+         "big small mid", "big mid small"],
+    )
+    def test_lower_index_wins_on_both_paths(self, order):
+        d = combined_tie(order)
+        r, at = d.n - 1, d.names.index
+        theta_want = (at("small"), F(2)) if at("small") < at("mid") else (at("mid"), 1)
+        phi_want = (at("big"), F(1, 2)) if at("big") < at("mid") else (at("mid"), 1)
+        (marker,) = [it for it in f.classify_all(d) if it.reference == r]
+        assert isinstance(marker, f.InefficientUnit) and d.names[marker.witness] == "mid"
+        for scores in (marker.scores, f.classify_unit(d, r).scores):
+            theta, phi = scores.theta[Delta.NDRS], scores.phi[Delta.NIRS]
+            assert theta.value == F(1, 2) and phi.value == 1
+            for sc, (witness, delta) in ((theta, theta_want), (phi, phi_want)):
+                assert (sc.witness, sc.delta) == (witness, delta)
+                assert type(sc.delta) is type(delta)  # the int 1 at factor 1
+
+
 class TestMostProductiveScale:
     def test_staircase_has_unique_best_scale_unit(self, stair):
         flags = [f.classify_unit(stair, o).mpss for o in range(stair.n)]

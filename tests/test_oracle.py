@@ -269,8 +269,17 @@ def _nudge_side(side_pick):
 
 
 def _drop_outside(right):
-    """Join nothing: the combined regimes lose the term of the peers that miss at 1."""
-    return lambda pick, inner, outer: inner
+    """The combined regimes keep the inner term: the peers that miss at 1 drop out.
+
+    ``_side`` returns the scores at factor 1, scaled, combined and at any
+    factor; the last two become the first two.
+    """
+
+    def faulty(*args):
+        fixed, scaled, _, _ = right(*args)
+        return fixed, scaled, fixed, scaled
+
+    return faulty
 
 
 def _nudge_d_alpha_of_a(rt):
@@ -415,7 +424,7 @@ class TestPlantedFaults:
             pytest.param("_phi", "_side", _nudge_side(max), id="_phi"),
             # theta_ndrs = theta_vrs, theta_crs = theta_nirs, and phi mirrored
             pytest.param(
-                "dropped-outside-term", "_join", _drop_outside, id="dropped-outside-term"
+                "dropped-outside-term", "_side", _drop_outside, id="dropped-outside-term"
             ),
         ],
     )

@@ -6,6 +6,7 @@ import pytest
 import fdhscale as f
 from fdhscale import (
     UNBOUNDED,
+    Delta,
     GrsClass,
     InefficientUnit,
     LeftRts,
@@ -14,6 +15,8 @@ from fdhscale import (
     RtsReport,
     Tolerance,
 )
+from fdhscale import rts
+from fdhscale.technology import _dominator_sets
 
 from conftest import with_dominated
 
@@ -165,6 +168,17 @@ class TestClassifyAll:
         assert marker.theta_vrs == F(3, 4)
         assert d.names[marker.witness] == "B"
         assert all(isinstance(it, RtsReport) for it in items[:4])
+
+    def test_score_mappings_iterate_in_delta_order(self):
+        # E is dominated and outside the pool [A, B, C, D], so its scores come
+        # from the pool's table; the report's records read them in this order
+        d = with_dominated("E", x=(4,), y=(4,))
+        assert rts._pool(d, _dominator_sets(d)) == [0, 1, 2, 3]
+        items = f.classify_all(d)
+        assert isinstance(items[4], InefficientUnit)
+        for item in items + [f.classify_unit(d, o) for o in range(d.n)]:
+            assert list(item.scores.theta) == list(Delta)
+            assert list(item.scores.phi) == list(Delta)
 
     def test_solo_unit_report(self):
         d = f.validate_dataset(["solo"], [[2]], [[5]])
