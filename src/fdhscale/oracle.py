@@ -19,8 +19,12 @@ point; the fast path's dict and bisection share no code with it.
 ``verify_dataset`` builds each unit's pairs once, sorted by input ratio,
 and reads every oracle value off them before its checks.
 
-Every function converts the dataset to ``fractions.Fraction`` first, so
-results are exact relative to the stored values.
+Results are exact relative to the stored values. Each entry is held as
+its ``(numerator, denominator)`` ints and each ratio as an unreduced pair
+of ints; every ``max``, ``min`` and comparison is decided by
+cross-multiplication, with no gcd. A ``Fraction`` is formed only for a
+value that is compared with the fast path or printed
+(docs/derivations.md, "Exact values in integers").
 """
 
 from __future__ import annotations
@@ -29,13 +33,13 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import chain
-from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
 from . import response, rts
 from .errors import InefficientUnitError, OutOfDomainError
-from .model import Dataset, Delta, Numeric, Tolerance, validate_dataset
+from .model import Dataset, Delta, Numeric, Tolerance, check_index, validate_dataset
 from .scale import UNBOUNDED, RatioValue
 from .technology import find_dominating
 
@@ -70,8 +74,15 @@ class ScalingSystem(Enum):
     LEFT_STRICT = "left-strict"
 
 
-_Pair = tuple[Fraction, Fraction]
+_Q = tuple[int, int]  # a positive rational (numerator, denominator), unreduced
+_Pair = tuple[_Q, _Q]
 _Pairs = list[_Pair]
+_Columns = tuple[list[list[_Q]], list[list[_Q]]]
+
+# Exact order of unreduced ratios, and of pairs by their input ratio: every
+# denominator is positive, so the sign of the cross product decides.
+_BY_VALUE = cmp_to_key(lambda p, q: p[0] * q[1] - q[0] * p[1])
+_BY_INPUT = cmp_to_key(lambda p, q: p[0][0] * q[0][1] - q[0][0] * p[0][1])
 
 
 def _require_efficient(d: Dataset, o: int) -> None:
@@ -82,84 +93,117 @@ def _require_efficient(d: Dataset, o: int) -> None:
         )
 
 
-def _exact_pairs(d: Dataset, o: int) -> _Pairs:
-    """Each peer's exact worst input and output ratio against unit ``o``."""
-    d = d.as_exact()
-    xo, yo = d.unit(o)
-    return [
-        (
-            max(v / w for v, w in zip(xj, xo)),
-            min(v / w for v, w in zip(yj, yo)),
-        )
-        for xj, yj in zip(d.inputs, d.outputs)
-    ]
+def _columns(d: Dataset) -> _Columns:
+    """Every entry as its exact ``(numerator, denominator)``, a column at a time:
+    the input columns, then the output columns."""
+    cols = [[v.as_integer_ratio() for v in col] for col in d.columns]
+    return cols[: d.m], cols[d.m :]
+
+
+def _exact_pairs(cols: _Columns, o: int) -> _Pairs:
+    """Each peer's exact worst input and output ratio against unit ``o``.
+
+    Peer j's ratio in one column, ``(n_j / d_j) / (n_o / d_o)``, is the
+    unreduced pair ``(n_j * d_o, d_j * n_o)``; the worst across the columns
+    is picked by cross-multiplication.
+    """
+    ins, outs = cols
+    return list(zip(_worst(ins, o, True), _worst(outs, o, False)))
+
+
+def _worst(cols: list[list[_Q]], o: int, largest: bool) -> list[_Q]:
+    """Per row, the largest (or smallest) ratio to row ``o`` over the columns."""
+    worst: list[_Q] = []
+    for col in cols:
+        no, do = col[o]
+        ratios = [(n * do, d * no) for n, d in col]
+        if worst:
+            picks = zip(ratios, worst)
+            ratios = [r if (r[0] * w[1] > w[0] * r[1]) == largest else w for r, w in picks]
+        worst = ratios
+    return worst
+
+
+def _unit_pairs(d: Dataset, o: int) -> _Pairs:
+    """Unit ``o``'s pairs, for the entry points that take one unit."""
+    check_index(d, o)
+    return _exact_pairs(_columns(d), o)
 
 
 def _theta_of(pairs: _Pairs, delta: Delta) -> Fraction:
     """Smallest input contraction: peer j scaled by t >= 1/beta_j uses t * alpha_j."""
     rlo, rhi = delta.bounds
-    best: Fraction | None = None
-    for a, b in pairs:
-        lo = max(1 / b, rlo)
-        if rhi is not None and lo > rhi:
+    best: _Q | None = None
+    for (an, ad), (bn, bd) in pairs:
+        # max(1 / beta_j, rlo)
+        lo = (bd, bn) if bd >= rlo * bn else (rlo, 1)
+        if rhi is not None and lo[0] > rhi * lo[1]:
             continue
-        for t in (lo,) if rhi is None else (lo, rhi):
-            best = t * a if best is None else min(best, t * a)
+        for tn, td in (lo,) if rhi is None else (lo, (rhi, 1)):
+            vn, vd = tn * an, td * ad
+            if best is None or vn * best[1] < best[0] * vd:
+                best = vn, vd
     assert best is not None  # the reference itself is always a candidate
-    return best
+    return Fraction(*best)
 
 
 def _phi_of(pairs: _Pairs, delta: Delta) -> Fraction:
     """Largest output expansion: peer j scaled by t <= 1/alpha_j makes t * beta_j."""
     rlo, rhi = delta.bounds
-    best: Fraction | None = None
-    for a, b in pairs:
-        hi = 1 / a if rhi is None else min(1 / a, rhi)
-        if hi < rlo:
+    best: _Q | None = None
+    for (an, ad), (bn, bd) in pairs:
+        # min(1 / alpha_j, rhi)
+        hi = (ad, an) if rhi is None or ad <= rhi * an else (rhi, 1)
+        if hi[0] < rlo * hi[1]:
             continue
-        for t in (hi, rlo):
-            best = t * b if best is None else max(best, t * b)
+        for tn, td in (hi, (rlo, 1)):
+            vn, vd = tn * bn, td * bd
+            if best is None or vn * best[1] > best[0] * vd:
+                best = vn, vd
     assert best is not None
-    return best
+    return Fraction(*best)
 
 
 def oracle_theta(d: Dataset, delta: Delta, o: int) -> Fraction:
     """Smallest input contraction, by exact interval enumeration."""
-    return _theta_of(_exact_pairs(d, o), delta)
+    return _theta_of(_unit_pairs(d, o), delta)
 
 
 def oracle_phi(d: Dataset, delta: Delta, o: int) -> Fraction:
     """Largest output expansion, by exact interval enumeration."""
-    return _phi_of(_exact_pairs(d, o), delta)
+    return _phi_of(_unit_pairs(d, o), delta)
 
 
 def oracle_response_value(d: Dataset, o: int, alpha: Numeric) -> Fraction:
     """Largest feasible output share at input share ``alpha``, by fresh scan."""
     alpha = Fraction(alpha)
-    fits = [b for a, b in _exact_pairs(d, o) if a <= alpha]
+    pn, pd = alpha.as_integer_ratio()
+    fits = [b for (an, ad), b in _unit_pairs(d, o) if an * pd <= pn * ad]
     if not fits:
         raise OutOfDomainError(f"no unit fits within {alpha!r} times the inputs")
-    return max(fits)
+    return Fraction(*max(fits, key=_BY_VALUE))
 
 
-def _curve_runs(pairs: _Pairs, *runs: Iterable[Fraction]) -> Iterator[_Pair]:
+def _curve_runs(pairs: _Pairs, *runs: Iterable[_Q]) -> Iterator[tuple[_Q, _Q]]:
     """Yield ``(p, max(b for a, b in pairs if a <= p))`` for the points of all runs.
 
     A running maximum over the pairs sorted by ``a``: linear while the
     points ascend; a point below a threshold already passed restarts the
     merge. A point below every ``a`` raises ``ValueError``, as ``max()`` would.
     """
-    ordered = sorted(pairs, key=itemgetter(0))  # linear on pairs sorted already
+    ordered = sorted(pairs, key=_BY_INPUT)  # linear on pairs sorted already
     k, best = 0, None
     for p in chain.from_iterable(runs):
-        if k and ordered[k - 1][0] > p:
+        pn, pd = p
+        if k and ordered[k - 1][0][0] * pd > pn * ordered[k - 1][0][1]:
             k, best = 0, None
-        while k < len(ordered) and ordered[k][0] <= p:
-            if best is None or ordered[k][1] > best:
-                best = ordered[k][1]
+        while k < len(ordered) and ordered[k][0][0] * pd <= pn * ordered[k][0][1]:
+            b = ordered[k][1]
+            if best is None or b[0] * best[1] > best[0] * b[1]:
+                best = b
             k += 1
         if best is None:
-            raise ValueError(f"no pair has a <= {p!r}")
+            raise ValueError(f"no pair has a <= {Fraction(pn, pd)!r}")
         yield p, best
 
 
@@ -172,11 +216,22 @@ def _ratios(pairs: _Pairs) -> tuple[Fraction, RatioValue]:
     efficient: only then does its curve stay under 1 below 1, so that each
     step's extreme slope sits at the step's left end, a threshold, and no
     other point of the curve can move a ratio (docs/derivations.md).
+    A threshold met twice gives the same slope twice.
     """
-    at_own = list(_curve_runs(pairs, sorted({a for a, _ in pairs})))
-    plus = max(chain([Fraction(0)], ((v - 1) / (p - 1) for p, v in at_own if p > 1)))
-    minus = min(((v - 1) / (p - 1) for p, v in at_own if p < 1), default=UNBOUNDED)
-    return plus, minus
+    plus: _Q = (0, 1)
+    minus: _Q | None = None
+    thresholds = sorted((a for a, _ in pairs), key=_BY_VALUE)
+    for (pn, pd), (vn, vd) in _curve_runs(pairs, thresholds):
+        # (v - 1)/(p - 1) with a positive denominator, by the sign of p - 1
+        if pn > pd:
+            sn, sd = (vn - vd) * pd, vd * (pn - pd)
+            if sn * plus[1] > plus[0] * sd:
+                plus = sn, sd
+        elif pn < pd:
+            sn, sd = (vd - vn) * pd, vd * (pd - pn)
+            if minus is None or sn * minus[1] < minus[0] * sd:
+                minus = sn, sd
+    return Fraction(*plus), UNBOUNDED if minus is None else Fraction(*minus)
 
 
 def _walk(
@@ -190,10 +245,17 @@ def _walk(
     point can differ first. Returns the first point where ``evaluate``
     differs from the curve (or ``None``) and the points compared up to it.
     """
-    count = 0
-    for p, v in _curve_runs(pairs, sorted({*steps, *(a for a, _ in pairs)})):
-        count += 1
-        if evaluate(p) != v:
+    points = sorted(
+        [*(t.as_integer_ratio() for t in steps), *(a for a, _ in pairs)], key=_BY_VALUE
+    )
+    count, last = 0, None
+    for (pn, pd), (vn, vd) in _curve_runs(pairs, points):
+        if last is not None and pn * last[1] == last[0] * pd:
+            continue  # the same point again
+        count, last = count + 1, (pn, pd)
+        p = Fraction(pn, pd)
+        gn, gd = evaluate(p).as_integer_ratio()
+        if gn * vd != vn * gd:
             return p, count
     return None, count
 
@@ -206,7 +268,7 @@ def oracle_sigma_plus(
     ``cfg`` is unused: no grid is walked, but ``perfbench/checker.py`` passes one.
     """
     _require_efficient(d, o)
-    return _ratios(_exact_pairs(d, o))[0]
+    return _ratios(_unit_pairs(d, o))[0]
 
 
 def oracle_sigma_minus(
@@ -217,29 +279,31 @@ def oracle_sigma_minus(
     ``cfg`` is unused: no grid is walked, but ``perfbench/checker.py`` passes one.
     """
     _require_efficient(d, o)
-    return _ratios(_exact_pairs(d, o))[1]
+    return _ratios(_unit_pairs(d, o))[1]
 
 
 def _feasible(pairs: _Pairs, system: ScalingSystem) -> bool:
-    if system is ScalingSystem.RIGHT_STRICT:
-        return any(max(a, 1) < b for a, b in pairs)
-    if system is ScalingSystem.RIGHT_WEAK:
-        return any(b > 1 and b >= a for a, b in pairs)
-    if system is ScalingSystem.LEFT_WEAK:
-        return any(a < 1 and a <= b for a, b in pairs)
-    return any(a < 1 and a < b for a, b in pairs)
+    if system is ScalingSystem.RIGHT_STRICT:  # max(a, 1) < b
+        return any(an * bd < bn * ad and bd < bn for (an, ad), (bn, bd) in pairs)
+    if system is ScalingSystem.RIGHT_WEAK:  # b > 1 and b >= a
+        return any(bn > bd and bn * ad >= an * bd for (an, ad), (bn, bd) in pairs)
+    if system is ScalingSystem.LEFT_WEAK:  # a < 1 and a <= b
+        return any(an < ad and an * bd <= bn * ad for (an, ad), (bn, bd) in pairs)
+    # a < 1 and a < b
+    return any(an < ad and an * bd < bn * ad for (an, ad), (bn, bd) in pairs)
 
 
 def oracle_system_feasible(d: Dataset, o: int, system: ScalingSystem) -> bool:
     """Decide a scaling-system question from exact interval endpoints."""
-    return _feasible(_exact_pairs(d, o), system)
+    return _feasible(_unit_pairs(d, o), system)
 
 
 def random_dataset(seed: int, n: int, m: int, s: int) -> Dataset:
     """Reproducible dataset of small positive rationals.
 
-    Same arguments, same dataset, on any platform. Intended for desk-scale
-    exact verification (n up to around 12, m and s up to 4).
+    Same arguments, same dataset, on any platform. Entries are ``p/q`` with
+    ``p <= 12`` and ``q <= 6``, so exact ties are common. ``verify_random``
+    draws n up to 8; CI verifies n = 150 and n = 200 in full.
     """
     rng = random.Random(f"{seed}:{n}:{m}:{s}")
 
@@ -301,8 +365,28 @@ def _system_classes(pairs: _Pairs) -> tuple[Enum, Enum]:
     )
 
 
+def _fits(
+    cols: _Columns, j: int, o: int, f: Numeric, shrink: Numeric, grow: Numeric
+) -> bool:
+    """Whether unit ``j`` scaled by ``f`` uses at most ``shrink`` times unit ``o``'s
+    inputs and makes at least ``grow`` times its outputs, by cross-multiplication."""
+    (fn, fd), (sn, sd), (gn, gd) = (v.as_integer_ratio() for v in (f, shrink, grow))
+    ins, outs = cols
+    # f * v <= shrink * w is fn * sd * vn * wd <= sn * fd * wn * vd, and so on
+    return all(
+        fn * sd * vn * wd <= sn * fd * wn * vd
+        for (vn, vd), (wn, wd) in ((col[j], col[o]) for col in ins)
+    ) and all(
+        fn * gd * vn * wd >= gn * fd * wn * vd
+        for (vn, vd), (wn, wd) in ((col[j], col[o]) for col in outs)
+    )
+
+
 def _score_failures(
-    d: Dataset, item: rts.RtsReport | rts.InefficientUnit, lowest: int | None
+    d: Dataset,
+    cols: _Columns,
+    item: rts.RtsReport | rts.InefficientUnit,
+    lowest: int | None,
 ) -> Iterator[str]:
     """Bounds, regime nesting and witness feasibility of one unit's scores, and
     a dominated unit's witness against ``lowest``, the oracle's lowest-index one."""
@@ -318,7 +402,6 @@ def _score_failures(
         and p[Delta.VRS] <= p[Delta.NDRS] <= p[Delta.CRS]
     ):
         yield f"regime nesting violated at {d.names[o]}"
-    xo, yo = d.unit(o)
     for reg in Delta:
         rlo, rhi = reg.bounds
         # the witness, scaled by f, uses at most shrink * inputs and makes at
@@ -327,13 +410,12 @@ def _score_failures(
             (sc.theta[reg], t[reg], 1),
             (sc.phi[reg], 1, p[reg]),
         ):
-            xj, yj = d.unit(score.witness)
+            check_index(d, score.witness)
             f = score.delta
             if not (
                 f >= rlo
                 and (rhi is None or f <= rhi)
-                and all(f * v <= shrink * w for v, w in zip(xj, xo))
-                and all(f * v >= grow * w for v, w in zip(yj, yo))
+                and _fits(cols, score.witness, o, f, shrink, grow)
             ):
                 yield f"witness infeasible for {d.names[o]} under {reg.value}"
     if isinstance(item, rts.InefficientUnit) and lowest not in (None, item.witness):
@@ -341,7 +423,7 @@ def _score_failures(
 
 
 def _curve_check(d: Dataset, o: int, pairs: _Pairs) -> tuple[str | None, int]:
-    """Unit ``o``'s response check.
+    """Unit ``o``'s response check, against its pairs sorted by input ratio.
 
     Returns the first disagreement or ``None``, and the number of points
     compared up to it.
@@ -349,7 +431,7 @@ def _curve_check(d: Dataset, o: int, pairs: _Pairs) -> tuple[str | None, int]:
     r = response.build_response(d, o)
     thresholds = [t for t, _ in r.steps]
     values = [v for _, v in r.steps]
-    start = min(pairs)[0]
+    start = Fraction(*pairs[0][0])
     if thresholds != sorted(set(thresholds)) or values != sorted(set(values)):
         return f"non-canonical steps at {d.names[o]}", 0
     if r.alpha_min != start:
@@ -367,9 +449,9 @@ def _implication_failures(
     for bad in rts.check_consistency(item, tol)[:1]:
         yield f"{name}: {bad}"
     if item.grs is rts.GrsClass.IRS:
-        if not any(a > 1 for a, _ in pairs):
+        if not any(an > ad for (an, ad), _ in pairs):
             yield f"{name}: globally increasing with no larger peer"
-        if any(b > 1 and not a > 1 for a, b in pairs):
+        if any(bn > bd and an <= ad for (an, ad), (bn, bd) in pairs):
             yield f"{name}: output-rich peer not larger"
 
 
@@ -387,11 +469,12 @@ def verify_dataset(
     ``cfg`` is accepted, not read.
     """
     d = d.as_exact()
+    cols = _columns(d)
     lowest = [find_dominating(d, Delta.VRS, o) for o in range(d.n)]
     efficient = [o for o, w in enumerate(lowest) if w is None]
     items = rts.classify_all(d, tol)
     reports = [o for o in efficient if isinstance(items[o], rts.RtsReport)]
-    pairs = [sorted(_exact_pairs(d, o), key=itemgetter(0)) for o in range(d.n)]
+    pairs = [sorted(_exact_pairs(cols, o), key=_BY_INPUT) for o in range(d.n)]
     theta = [{reg: _theta_of(pairs[o], reg) for reg in Delta} for o in range(d.n)]
     phi = [{reg: _phi_of(pairs[o], reg) for reg in Delta} for o in range(d.n)]
     walks = [_curve_check(d, o, pairs[o]) for o in range(d.n)]
@@ -418,7 +501,11 @@ def verify_dataset(
     )
     run(
         "radial-score-bounds-and-witnesses",
-        [bad for item, w in zip(items, lowest) for bad in _score_failures(d, item, w)],
+        [
+            bad
+            for item, w in zip(items, lowest)
+            for bad in _score_failures(d, cols, item, w)
+        ],
         (1 + 2 * len(Delta)) * d.n,
     )
     run(

@@ -24,6 +24,16 @@ def with_dominated(extra_name="E", x=(4,), y=(4,)) -> f.Dataset:
     )
 
 
+def int_pairs(pairs) -> list:
+    """``(a, b)`` pairs of Fractions in the oracle's form, each ratio an int pair."""
+    return [(a.as_integer_ratio(), b.as_integer_ratio()) for a, b in pairs]
+
+
+def fraction_pairs(pairs) -> list:
+    """The oracle's int-pair ``(a, b)`` pairs, each ratio back as a Fraction."""
+    return [(F(*a), F(*b)) for a, b in pairs]
+
+
 @pytest.fixture
 def stair() -> f.Dataset:
     return make_staircase()

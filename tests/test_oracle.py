@@ -8,7 +8,7 @@ import fdhscale as f
 from fdhscale import Delta, OracleConfig, ScalingSystem, UNBOUNDED
 from fdhscale import efficiency, oracle, response, rts, scale
 
-from conftest import make_staircase, with_dominated
+from conftest import fraction_pairs, make_staircase, with_dominated
 
 
 FAST_CFG = OracleConfig(grid_steps=100)
@@ -80,7 +80,7 @@ class TestRatioOracle:
     def test_walk_ratios_ignore_the_step_list_and_the_compared_values(self, stair):
         # D's smallest slope below 1 sits at its first threshold, 1/6; A's
         # largest above 1 sits at 6: both are read at the pairs' thresholds
-        d_pairs, a_pairs = oracle._exact_pairs(stair, 3), oracle._exact_pairs(stair, 0)
+        d_pairs, a_pairs = oracle._unit_pairs(stair, 3), oracle._unit_pairs(stair, 0)
         assert oracle._ratios(d_pairs) == (F(0), F(66, 65))
         assert oracle._ratios(a_pairs) == (F(11, 10), UNBOUNDED)
         # a wrong curve to compare with is reported at its first point
@@ -92,7 +92,7 @@ class TestRatioOracle:
         # on: the walk visits the pairs' own thresholds, and 1/6 comes first
         curve = response.build_response(stair, 3).evaluate
         got = oracle._walk(
-            oracle._exact_pairs(stair, 3),
+            oracle._unit_pairs(stair, 3),
             [F(1)],
             lambda p: curve(p) if p >= F(1, 2) else F(0),
         )
@@ -108,13 +108,15 @@ class TestRatioOracle:
             for o in range(d.n):
                 if f.find_dominating(d, Delta.VRS, o) is not None:
                     continue
-                pairs = oracle._exact_pairs(d, o)
+                pairs = oracle._unit_pairs(d, o)
                 plus, minus = oracle._ratios(pairs)
                 steps = [t for t, _ in response.build_response(d, o).steps]
-                lo, hi = min(pairs)[0], max(10 * max(pairs)[0], F(2))
+                exact = fraction_pairs(pairs)
+                lo, hi = min(exact)[0], max(10 * max(exact)[0], F(2))
                 grid = [lo + (hi - lo) * k / 100 for k in range(101)]
                 mids = [(u + v) / 2 for u, v in zip(steps, steps[1:])]
-                for p, v in oracle._curve_runs(pairs, steps, mids, grid):
+                runs = ([q.as_integer_ratio() for q in run] for run in (steps, mids, grid))
+                for p, v in fraction_pairs(oracle._curve_runs(pairs, *runs)):
                     if p > 1:
                         above += 1
                         assert (v - 1) / (p - 1) <= plus, (seed, o, p)
@@ -290,11 +292,15 @@ def _nudge_d_alpha_of_a(rt):
 
 
 def _nudge_d_beta_of_a(pairs):
-    """D's beta in unit A's pairs, the one list whose first pair, A's own, is (1, 1)."""
-    if pairs[0] != (1, 1):
+    """D's beta in unit A's pairs, the one list whose first pair, A's own, is (1, 1).
+
+    Each ratio is an unreduced ``(numerator, denominator)`` pair of ints.
+    """
+    if fraction_pairs(pairs[:1]) != [(1, 1)]:
         return pairs
-    a, b = pairs[3]
-    return pairs[:3] + [(a, b + TINY)] + pairs[4:]
+    a, (bn, bd) = pairs[3]
+    tn, td = TINY.as_integer_ratio()
+    return pairs[:3] + [(a, (bn * td + tn * bd, bd * td))] + pairs[4:]
 
 
 def _replace_fields(unit, **changes):

@@ -3,7 +3,8 @@
 Hypothesis drives the structural properties, the equivalence of the fast
 CSV cell parse and dataset digest with their ``Fraction`` references, of the
 column-wise CSV read and validation with their row loops, of the oracle's
-breakpoint walk with a dense comparison, and a fuzz of the command line on
+integer core with a ``Fraction`` reference written from the definitions, of
+its breakpoint walk with a dense comparison, and a fuzz of the command line on
 random CSV text; a seeded loop at the end
 replays the adversarial construction (duplicates and exact ray copies)
 that floats tend to get wrong, in exact arithmetic.
@@ -28,6 +29,8 @@ from fdhscale.io_cli import _cell, _digest
 from fdhscale.oracle import _curve_runs
 from fdhscale.rts import _near, _pool
 from fdhscale.technology import _dominator_sets, dominating_peer
+
+from conftest import fraction_pairs, int_pairs
 
 DELTAS = tuple(Delta)
 
@@ -331,14 +334,16 @@ def test_curve_merge_equals_rescan(pairs, runs, data):
     ]
     runs = [sorted(run) if data.draw(st.booleans()) else run for run in runs]
     lowest = min(a for a, _ in pairs)
+    points = ([p.as_integer_ratio() for p in run] for run in runs)
+    got = _curve_runs(int_pairs(pairs), *points)
     try:
         want = [(p, max(b for a, b in pairs if a <= p)) for run in runs for p in run]
     except ValueError:
         assert any(p < lowest for run in runs for p in run)
         with pytest.raises(ValueError):
-            list(_curve_runs(pairs, *runs))
+            list(got)
         return
-    assert list(_curve_runs(pairs, *runs)) == want
+    assert fraction_pairs(got) == want
 
 
 def _dense_reference(pairs):
@@ -403,12 +408,12 @@ def _breakpoint_walk_is_complete(d, rng):
     """
     caught = 0
     for o in range(d.n):
-        pairs = oracle._exact_pairs(d, o)
-        misses, curve = _dense_reference(pairs)
+        pairs = oracle._unit_pairs(d, o)
+        misses, curve = _dense_reference(fraction_pairs(pairs))
         true = list(f.build_response(d, o).steps)
         right = f.ResponseFunction(o, tuple(true)).evaluate
         assert oracle._walk(pairs, [t for t, _ in true], right)[0] is None
-        for steps in _perturbed(true, pairs, rng):
+        for steps in _perturbed(true, fraction_pairs(pairs), rng):
             ts = [t for t, _ in steps]
             evaluate = f.ResponseFunction(o, tuple(steps)).evaluate
             dense = misses(ts, evaluate)
@@ -436,6 +441,120 @@ def test_breakpoint_walk_finds_every_difference_on_seeded_data():
 @settings(max_examples=100, deadline=None)
 def test_breakpoint_walk_finds_every_difference_on_tie_heavy_data(d, salt):
     _breakpoint_walk_is_complete(d, random.Random(salt))
+
+
+PRIMES = [p for p in range(2, 200) if all(p % q for q in range(2, p))]
+
+
+def _drawn_dataset(draw, value):
+    """Up to 6 units with 1-2 inputs and 1-2 outputs, every entry ``value()``."""
+    n, m, s = draw(st.integers(1, 6)), draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    inputs = [[value() for _ in range(m)] for _ in range(n)]
+    outputs = [[value() for _ in range(s)] for _ in range(n)]
+    return f.validate_dataset([f"U{i + 1}" for i in range(n)], inputs, outputs)
+
+
+@st.composite
+def prime_datasets(draw):
+    """Every entry ``k/p`` with a prime ``p`` of its own, so that no two
+    denominators share a factor."""
+    primes = iter(draw(st.permutations(PRIMES)))
+
+    def value():
+        p = next(primes)
+        return F(draw(st.integers(1, 3 * p)), p)
+
+    return _drawn_dataset(draw, value)
+
+
+@st.composite
+def double_datasets(draw):
+    """Doubles read as exact: subnormals, entries from 2**-500 to 2**500 in one
+    column, and a few small values that tie."""
+    doubles = st.one_of(
+        st.floats(5e-324, 2.2250738585072014e-308),
+        st.builds(
+            math.ldexp, st.floats(0.5, 1.0, exclude_max=True), st.integers(-500, 500)
+        ),
+        st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+    )
+    return _drawn_dataset(draw, lambda: F(draw(doubles)))
+
+
+def _reference_pairs(d, o):
+    """Each peer's worst input and output ratio against unit ``o``, in Fractions."""
+    xo, yo = d.unit(o)
+    return [
+        (max(v / w for v, w in zip(xj, xo)), min(v / w for v, w in zip(yj, yo)))
+        for xj, yj in zip(d.inputs, d.outputs)
+    ]
+
+
+def _reference_scores(pairs, delta):
+    """theta and phi by their definitions: peer j scaled by t in the regime's
+    interval with t * beta_j >= 1 uses t * alpha_j, least at the smallest such
+    t; with t * alpha_j <= 1 it makes t * beta_j, most at the largest."""
+    lo, hi = delta.bounds
+    least = [max(1 / b, lo) for _, b in pairs]
+    most = [1 / a if hi is None else min(1 / a, hi) for a, _ in pairs]
+    theta = min(t * a for t, (a, _) in zip(least, pairs) if hi is None or t <= hi)
+    phi = max(t * b for t, (_, b) in zip(most, pairs) if t >= lo)
+    return theta, phi
+
+
+def _reference_ratios(pairs):
+    """The extreme secant slopes through (1, 1) at the pairs' thresholds."""
+    curve = {a: max(b for p, b in pairs if p <= a) for a, _ in pairs}
+    slopes = [((v - 1) / (p - 1), p > 1) for p, v in curve.items() if p != 1]
+    plus = max([F(0)] + [slope for slope, above in slopes if above])
+    minus = min((slope for slope, above in slopes if not above), default=f.UNBOUNDED)
+    return plus, minus
+
+
+REFERENCE_SYSTEMS = {
+    f.ScalingSystem.RIGHT_STRICT: lambda a, b: max(a, 1) < b,
+    f.ScalingSystem.RIGHT_WEAK: lambda a, b: b > 1 and b >= a,
+    f.ScalingSystem.LEFT_WEAK: lambda a, b: a < 1 and a <= b,
+    f.ScalingSystem.LEFT_STRICT: lambda a, b: a < 1 and a < b,
+}
+
+
+@given(
+    st.one_of(
+        datasets(), prime_datasets(), double_datasets(), tie_heavy_datasets(exact=True)
+    ),
+    st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_int_oracle_equals_a_fraction_reference(d, data):
+    # every oracle value of every unit, and a witness verdict per unit drawn
+    # so that the scaled witness often meets the bound exactly
+    cols = oracle._columns(d)
+    for o in range(d.n):
+        pairs, ref = oracle._unit_pairs(d, o), _reference_pairs(d, o)
+        assert fraction_pairs(pairs) == ref
+        for delta in Delta:
+            got = oracle._theta_of(pairs, delta), oracle._phi_of(pairs, delta)
+            assert got == _reference_scores(ref, delta)
+        assert oracle._ratios(pairs) == _reference_ratios(ref)
+        for system, holds in REFERENCE_SYSTEMS.items():
+            assert oracle._feasible(pairs, system) == any(holds(a, b) for a, b in ref)
+        curve = fraction_pairs(oracle._curve_runs(pairs, [a for a, _ in pairs]))
+        assert curve == [(p, max(b for a, b in ref if a <= p)) for p, _ in ref]
+        # the walk meets each distinct threshold once and agrees at every one
+        at = dict(curve).__getitem__
+        assert oracle._walk(pairs, [], at) == (None, len({a for a, _ in ref}))
+        j = data.draw(st.integers(0, d.n - 1))
+        a, b = ref[j]
+        near = st.sampled_from([F(1), F(999_999, 10**6), F(1_000_001, 10**6)])
+        t = data.draw(st.sampled_from([F(1), 1 / a, 1 / b, F(1, 2), F(2)]))
+        shrink = data.draw(st.sampled_from([t * a, F(1)])) * data.draw(near)
+        grow = data.draw(st.sampled_from([t * b, F(1)])) * data.draw(near)
+        (xj, yj), (xo, yo) = d.unit(j), d.unit(o)
+        fits = all(t * v <= shrink * w for v, w in zip(xj, xo)) and all(
+            t * v >= grow * w for v, w in zip(yj, yo)
+        )
+        assert oracle._fits(cols, j, o, t, shrink, grow) == fits
 
 
 @given(datasets(), positive, positive)
