@@ -409,11 +409,12 @@ def _breakpoint_walk_is_complete(d, rng):
     caught = 0
     for o in range(d.n):
         pairs = oracle._unit_pairs(d, o)
-        misses, curve = _dense_reference(fraction_pairs(pairs))
+        exact = fraction_pairs(pairs)
+        misses, curve = _dense_reference(exact)
         true = list(f.build_response(d, o).steps)
         right = f.ResponseFunction(o, tuple(true)).evaluate
         assert oracle._walk(pairs, [t for t, _ in true], right)[0] is None
-        for steps in _perturbed(true, fraction_pairs(pairs), rng):
+        for steps in _perturbed(true, exact, rng):
             ts = [t for t, _ in steps]
             evaluate = f.ResponseFunction(o, tuple(steps)).evaluate
             dense = misses(ts, evaluate)
