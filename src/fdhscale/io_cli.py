@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Any, Sequence, Union
 
 from ._version import __version__
-from .efficiency import radial
+from .efficiency import _phis, _thetas
 from .errors import (
     AnalysisError,
     EmptyDatasetError,
@@ -38,8 +38,9 @@ from .errors import (
 from .model import Dataset, Delta, Numeric, Orientation, Tolerance, validate_dataset
 from .oracle import OracleConfig, merge_checks, verify_dataset, verify_random
 from .response import build_response
-from .rts import InefficientUnit, RtsReport, classify_all, classify_unit
-from .scale import UNBOUNDED, scale_ratios
+from .rts import InefficientUnit, RtsReport, _classify, _pooled, _projection
+from .rts import classify_all, classify_unit
+from .scale import UNBOUNDED, _efficient_ratios, scale_ratios
 
 
 def read_csv(source: Union[str, Path], exact: bool = False) -> Dataset:
@@ -269,21 +270,6 @@ def _header(d: Dataset, tol: Tolerance, projected: bool = False) -> dict:
     }
 
 
-def _project(d: Dataset, unit: InefficientUnit) -> Dataset:
-    """Copy of ``d`` with the dominated unit's outputs expanded onto the frontier.
-
-    The expansion factor is the unit's variable-returns output score. The
-    caller analyses the copy afresh, from its own ratio table.
-    """
-    o = unit.reference
-    grow = unit.scores.phi[Delta.VRS].value
-    outputs = tuple(
-        tuple(grow * v for v in row) if k == o else row
-        for k, row in enumerate(d.outputs)
-    )
-    return Dataset(d.names, d.inputs, outputs)
-
-
 def _classified_units(d: Dataset, tol: Tolerance, project: bool):
     """Per unit: (report-or-marker, projected flag).
 
@@ -293,7 +279,7 @@ def _classified_units(d: Dataset, tol: Tolerance, project: bool):
     out = []
     for item in classify_all(d, tol):
         if project and isinstance(item, InefficientUnit):
-            again = classify_unit(_project(d, item), item.reference, tol)
+            again = _classify(*_projection(d, item), tol)
             out.append((again if isinstance(again, RtsReport) else item, True))
         else:
             out.append((item, False))
@@ -366,12 +352,14 @@ def build_classification_document(
 def build_efficiency_document(
     d: Dataset, delta: Delta, orientation: Orientation, tol: Tolerance = Tolerance()
 ) -> dict:
+    """Every unit's score, read off its table over the pool, as ``radial`` gives it."""
+    side = _thetas if orientation is Orientation.INPUT else _phis
     scores = []
-    for o in range(d.n):
-        sc = radial(d, delta, orientation, o)
+    for rt, peers, _ in _pooled(d, tol):
+        sc = side(rt, peers)[delta]
         scores.append(
             {
-                "name": d.names[o],
+                "name": d.names[rt.reference],
                 "value": _num(sc.value),
                 "witness": d.names[sc.witness],
                 "delta": _num(sc.delta),
@@ -389,12 +377,13 @@ def build_ratios_document(
     d: Dataset, name: str, tol: Tolerance = Tolerance(), project: bool = False
 ) -> dict:
     o = d.index_of(name)
-    used, projected = d, False
-    if project:
-        item = classify_unit(d, o, tol)
-        if isinstance(item, InefficientUnit):
-            used, projected = _project(d, item), True
-    ratios = scale_ratios(used, o, tol)
+    item = classify_unit(d, o, tol) if project else None
+    projected = isinstance(item, InefficientUnit)
+    if projected:
+        rt, _, w = _projection(d, item)
+        ratios = _efficient_ratios(d, rt, w, tol)
+    else:
+        ratios = scale_ratios(d, o, tol)
     return {
         "header": _header(d, tol, projected),
         "name": name,

@@ -17,7 +17,8 @@ The curve is evaluated by merging the ascending points against the peers
 sorted by input ratio, O(n log n) instead of a rescan of all n peers per
 point; the fast path's dict and bisection share no code with it.
 ``verify_dataset`` builds each unit's pairs once, sorted by input ratio,
-and reads every oracle value off them before its checks.
+reads every oracle value of the unit off them and drops them before the
+next unit's, so its memory grows with n, not n².
 
 Results are exact relative to the stored values. Each entry is held as
 its ``(numerator, denominator)`` ints and each ratio as an unreduced pair
@@ -463,127 +464,83 @@ def verify_dataset(
     The fast side is what a report prints: one :func:`classify_all` (scores,
     scale-size flags, ratios, classes, dominance and its witnesses) plus each
     unit's response function. Per unit, the oracle finds the lowest dominator
-    and reads every other value off the unit's pairs: the scores per regime, one
-    curve walk, both ratios at the pairs' own thresholds, the scaling systems.
-    The checks then compare with zero tolerance. Returns one result per named check.
+    and reads every other value off the unit's pairs, in one pass per unit: the
+    scores per regime, one curve walk, both ratios at the pairs' own thresholds,
+    the scaling systems and the implication facts. The checks then compare with
+    zero tolerance. Returns one result per named check.
     ``cfg`` is accepted, not read.
     """
     d = d.as_exact()
     cols = _columns(d)
     lowest = [find_dominating(d, Delta.VRS, o) for o in range(d.n)]
-    efficient = [o for o, w in enumerate(lowest) if w is None]
+    efficient = lowest.count(None)
     items = rts.classify_all(d, tol)
-    reports = [o for o in efficient if isinstance(items[o], rts.RtsReport)]
-    pairs = [sorted(_exact_pairs(cols, o), key=_BY_INPUT) for o in range(d.n)]
-    theta = [{reg: _theta_of(pairs[o], reg) for reg in Delta} for o in range(d.n)]
-    phi = [{reg: _phi_of(pairs[o], reg) for reg in Delta} for o in range(d.n)]
-    walks = [_curve_check(d, o, pairs[o]) for o in range(d.n)]
-    swept = {o: _ratios(pairs[o]) for o in efficient}
-    results: list[CheckResult] = []
-
-    def run(name: str, failures: list[str], count: int) -> None:
-        detail = failures[0] if failures else f"{count} comparisons"
-        results.append(CheckResult(name, not failures, detail))
-
-    run(
-        "radial-scores-match-enumeration",
-        [
-            f"{key}[{reg.value}] of {d.names[o]}: {fast!r} != {slow!r}"
-            for o, item in enumerate(items)
-            for reg in Delta
+    scores, bounds, flags, curves, marked, plus, minus, systems, thresholds, implied = (
+        [] for _ in range(10)
+    )
+    points = 0
+    for o, (item, w) in enumerate(zip(items, lowest)):  # one unit's pairs at a time
+        name, pairs = d.names[o], sorted(_exact_pairs(cols, o), key=_BY_INPUT)
+        theta = {reg: _theta_of(pairs, reg) for reg in Delta}
+        phi = {reg: _phi_of(pairs, reg) for reg in Delta}
+        for reg in Delta:
             for key, fast, slow in (
-                ("theta", item.scores.theta[reg].value, theta[o][reg]),
-                ("phi", item.scores.phi[reg].value, phi[o][reg]),
+                ("theta", item.scores.theta[reg].value, theta[reg]),
+                ("phi", item.scores.phi[reg].value, phi[reg]),
+            ):
+                if fast != slow:
+                    scores.append(f"{key}[{reg.value}] of {name}: {fast!r} != {slow!r}")
+        bounds += _score_failures(d, cols, item, w)
+        if item.mpss != (theta[Delta.CRS] == 1):
+            flags.append(f"scale-size flag mismatch at {name}")
+        bad, count = _curve_check(d, o, pairs)
+        points += count
+        if bad:
+            curves.append(bad)
+        reported = isinstance(item, rts.RtsReport)
+        if (w is None) != reported:  # the split into efficient and dominated units
+            marked.append(
+                f"{name} is efficient but the fast path marks it dominated"
+                if w is None
+                else f"{name} is dominated but the fast path reports it efficient"
             )
-            if fast != slow
-        ],
-        2 * len(Delta) * d.n,
-    )
-    run(
-        "radial-score-bounds-and-witnesses",
-        [
-            bad
-            for item, w in zip(items, lowest)
-            for bad in _score_failures(d, cols, item, w)
-        ],
-        (1 + 2 * len(Delta)) * d.n,
-    )
-    run(
-        "scale-size-detection-matches-enumeration",
-        [
-            f"scale-size flag mismatch at {d.names[o]}"
-            for o, item in enumerate(items)
-            if item.mpss != (theta[o][Delta.CRS] == 1)
-        ],
-        d.n,
-    )
-    run(
-        "response-curve-matches-sweep",
-        [bad for bad, _ in walks if bad],
-        sum(count for _, count in walks),
-    )
-
-    marked = [  # the split into efficient and dominated units, both ways
-        f"{d.names[o]} is efficient but the fast path marks it dominated"
-        if w is None
-        else f"{d.names[o]} is dominated but the fast path reports it efficient"
-        for o, w in enumerate(lowest)
-        if (w is None) != isinstance(items[o], rts.RtsReport)
-    ]
-    for side, check, key in (
-        (0, "max-incremental-ratio-matches-sweep", "sigma_plus"),
-        (1, "min-decremental-ratio-matches-sweep", "sigma_minus"),
-    ):
-        fails = [
-            f"{key} of {d.names[o]}: {fast!r} != {slow!r}"
-            for o in reports
-            for fast, slow in [(getattr(items[o].sigma, key), swept[o][side])]
-            if fast != slow
-        ]
-        # a unit the fast path marks dominated has no ratios: the first check says so
-        run(check, (marked if side == 0 else []) + fails, len(efficient))
-
-    # per unit and side: the fast class, the systems' class, the swept ratio
-    # and the class it points to
-    classes = [
-        (o, side, fast, by_system, ratio, _class(kind, ratio > 1, ratio < 1))
-        for o in reports
+        if reported:
+            implied += _implication_failures(d, item, pairs, tol)
+        if not reported or w is not None:
+            continue
+        swept = _ratios(pairs)
+        for key, fails, slow in zip(("sigma_plus", "sigma_minus"), (plus, minus), swept):
+            fast = getattr(item.sigma, key)
+            if fast != slow:
+                fails.append(f"{key} of {name}: {fast!r} != {slow!r}")
+        # per side: the fast class, the systems' class, and the swept ratio's class
         for side, kind, fast, by_system, ratio in zip(
             ("right", "left"),
             (rts.RightRts, rts.LeftRts),
-            (items[o].one_sided.right, items[o].one_sided.left),
-            _system_classes(pairs[o]),
-            swept[o],
-        )
-    ]
-    run(
-        "one-sided-classes-match-interval-feasibility",
-        [
-            f"{side} class of {d.names[o]}: {fast} vs {want}"
-            for o, side, fast, want, _, _ in classes
-            if fast is not want
-        ],
-        2 * len(efficient),
-    )
-    run(
-        "one-sided-classes-match-ratio-thresholds",
-        [
-            f"{side} class of {d.names[o]} off ratio {ratio!r}"
-            for o, side, fast, _, ratio, want in classes
-            if fast is not want
-        ],
-        2 * len(efficient),
-    )
-    run(
-        "global-class-implications",
-        [
-            bad
-            for item in items
-            if isinstance(item, rts.RtsReport)
-            for bad in _implication_failures(d, item, pairs[item.reference], tol)
-        ],
-        len(efficient),
-    )
+            (item.one_sided.right, item.one_sided.left),
+            _system_classes(pairs),
+            swept,
+        ):
+            if fast is not by_system:
+                systems.append(f"{side} class of {name}: {fast} vs {by_system}")
+            if fast is not _class(kind, ratio > 1, ratio < 1):
+                thresholds.append(f"{side} class of {name} off ratio {ratio!r}")
+
+    results: list[CheckResult] = []
+    for check, failures, count in (
+        ("radial-scores-match-enumeration", scores, 2 * len(Delta) * d.n),
+        ("radial-score-bounds-and-witnesses", bounds, (1 + 2 * len(Delta)) * d.n),
+        ("scale-size-detection-matches-enumeration", flags, d.n),
+        ("response-curve-matches-sweep", curves, points),
+        # a unit the fast path marks dominated has no ratios: the first check says so
+        ("max-incremental-ratio-matches-sweep", marked + plus, efficient),
+        ("min-decremental-ratio-matches-sweep", minus, efficient),
+        ("one-sided-classes-match-interval-feasibility", systems, 2 * efficient),
+        ("one-sided-classes-match-ratio-thresholds", thresholds, 2 * efficient),
+        ("global-class-implications", implied, efficient),
+    ):
+        detail = failures[0] if failures else f"{count} comparisons"
+        results.append(CheckResult(check, not failures, detail))
     return results
 
 

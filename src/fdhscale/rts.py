@@ -3,7 +3,8 @@
 ``classify_unit`` reads every quantity of one unit off its ratio table:
 scores, the scale-size flag and, for an efficient unit, both scale ratios
 and the classes; ``classify_all`` does so for every unit, deciding who
-dominates whom once, from each unit's dominator set. Right and left classes
+dominates whom once, from each unit's dominator set, and reading each unit
+off a table over the frontier pool. Right and left classes
 describe the frontier just above and below the observed scale, each read
 off its scale ratio by one rule: above 1 + eps, below 1 - eps, or between.
 The global class compares the constant-returns score with the one-sided
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Union
+from typing import Iterator, Mapping, Sequence, Union
 
 from .efficiency import EfficiencyScores, Score, _phis, _thetas
 from .errors import UnclassifiableError
@@ -118,19 +119,20 @@ def classify_unit(
             pattern, which only float rounding can cause.
     """
     rt = ratio_table(d, o)
-    scores = EfficiencyScores(o, _thetas(rt, range(d.n)), _phis(rt, range(d.n)))
-    return _classify(rt, scores, dominating_peer(d, rt), tol)
+    return _classify(rt, range(d.n), dominating_peer(d, rt), tol)
 
 
 def _classify(
-    rt: RatioTable, scores: EfficiencyScores, w: int | None, tol: Tolerance
+    rt: RatioTable, peers: Sequence[int], w: int | None, tol: Tolerance
 ) -> Union[RtsReport, InefficientUnit]:
-    """The marker of a unit that ``w`` dominates, or, if ``w`` is None, its report."""
+    """The marker of a unit that ``w`` dominates, or, if ``w`` is None, its report;
+    row j of the table is unit ``peers[j]``."""
     o = rt.reference
+    scores = EfficiencyScores(o, _thetas(rt, peers), _phis(rt, peers))
     mpss = abs(scores.theta[Delta.CRS].value - 1) <= tol.eps
     if w is not None:
         return InefficientUnit(o, scores.theta[Delta.VRS].value, w, scores, mpss)
-    sigma = _scale_ratios(rt, tol)
+    sigma = _scale_ratios(rt, tol, peers)
     return RtsReport(
         reference=o,
         one_sided=OneSidedRts(
@@ -147,29 +149,60 @@ def _classify(
 def classify_all(
     d: Dataset, tol: Tolerance = Tolerance()
 ) -> list[Union[RtsReport, InefficientUnit]]:
-    """Classify every unit, in dataset order, exactly as :func:`classify_unit` does.
+    """Classify every unit, in dataset order, exactly as :func:`classify_unit` does,
+    each off its table over the pool (:func:`_pooled`)."""
+    return [_classify(rt, peers, w, tol) for rt, peers, w in _pooled(d, tol)]
 
-    Frontier first (docs/derivations.md): efficient units get a full table and
-    dominated units one over the pool, with their lowest-index dominator as witness.
+
+def _pooled(
+    d: Dataset, tol: Tolerance
+) -> Iterator[tuple[RatioTable, Sequence[int], int | None]]:
+    """Per unit, in dataset order: its table, the units of the table's rows, and
+    its lowest-index dominator (None for an efficient unit).
+
+    Frontier first (docs/derivations.md): the table reads only the pool. An
+    efficient unit's table reads every unit instead when a pool row could hide
+    a scale ratio's candidate or tie: an input ratio in (1, 1 + eps], or both
+    ratios below ``_LOW``.
     """
     dom = _dominator_sets(d)
     pool = _pool(d, dom)
     lowest = [next(_units(above), None) for above in dom]  # each unit's witness
     del dom  # the sets take n bits per unit; only the witnesses are needed now
     cols = [[col[j] for j in pool] for col in d.columns]  # the pool's columns
-    ins, outs = cols[: d.m], cols[d.m :]
-    out: list[Union[RtsReport, InefficientUnit]] = []
+    ins, outs, floor = cols[: d.m], cols[d.m :], 1 + tol.eps
     for o, w in enumerate(lowest):
-        rt = ratio_table(d, o) if w is None else _table(o, ins, outs, *d.unit(o))
-        peers = range(d.n) if w is None else pool
-        scores = EfficiencyScores(o, _thetas(rt, peers), _phis(rt, peers))
-        out.append(_classify(rt, scores, w, tol))
-    return out
+        rt, peers = _table(o, ins, outs, *d.unit(o)), pool
+        if w is None and any(
+            1 < a <= floor or a < _LOW and b < _LOW for a, b in zip(rt.alpha, rt.beta)
+        ):
+            rt, peers = ratio_table(d, o), range(d.n)
+        yield rt, peers, w
 
 
-# A dominated peer ties a unit dominating it only with an input or an output
-# within a relative 2**-50 of that unit's (docs/derivations.md, "Frontier first").
+def _projection(
+    d: Dataset, unit: InefficientUnit
+) -> tuple[RatioTable, Sequence[int], int | None]:
+    """A dominated unit projected onto the frontier: its table, the units of the
+    table's rows, and the lowest-index unit that still dominates it, or None.
+
+    The unit's outputs grow by its variable-returns output score. The table reads
+    every unit, the unit's own row holding the projected point, as a copy of the
+    dataset with that row would give (docs/derivations.md, "One pass per unit").
+    """
+    o, grow = unit.reference, unit.scores.phi[Delta.VRS].value
+    xo, yo = d.inputs[o], tuple(grow * v for v in d.outputs[o])
+    outs = [col[:o] + (v,) + col[o + 1 :] for col, v in zip(d.columns[d.m :], yo)]
+    rt = _table(o, d.columns[: d.m], outs, xo, yo)
+    return rt, range(d.n), dominating_peer(d, rt, yo)
+
+
+# A dominated peer ties a unit dominating it, on a score or a scale ratio, only
+# with an input or an output within a relative 2**-50 of that unit's. On
+# sigma_minus it can also tie it when both of that unit's ratios against the
+# reference are below _LOW (docs/derivations.md, "Frontier first").
 _TIE_SLACK = 2**40
+_LOW = 2**-9
 
 
 def _pool(d: Dataset, dom: list[int]) -> list[int]:

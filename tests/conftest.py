@@ -24,6 +24,16 @@ def with_dominated(extra_name="E", x=(4,), y=(4,)) -> f.Dataset:
     )
 
 
+def projected_copy(d: f.Dataset, unit: f.InefficientUnit) -> f.Dataset:
+    """Copy of ``d`` with a dominated unit's outputs expanded by its variable-returns
+    output score: the dataset that ``--project`` analyses the unit in, built out."""
+    o, grow = unit.reference, unit.scores.phi[f.Delta.VRS].value
+    outputs = tuple(
+        tuple(grow * v for v in row) if k == o else row for k, row in enumerate(d.outputs)
+    )
+    return f.Dataset(d.names, d.inputs, outputs)
+
+
 def int_pairs(pairs) -> list:
     """``(a, b)`` pairs of Fractions in the oracle's form, each ratio an int pair."""
     return [(a.as_integer_ratio(), b.as_integer_ratio()) for a, b in pairs]

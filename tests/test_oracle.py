@@ -369,7 +369,7 @@ FAULT_DIGESTS = {
     "dropped-first-step": (3, "9dd12aeb57b5dad38924a6637f689ad0cf3ca3c5325982ad44cdd08f0d289c7b"),
     "step-below-domain": (3, "84346ed4a11d2ee56e6d2f26bcdd931dcc22dc151dc4cf219b32d166d4554eba"),
     "changed-step-value": (3, "c30144fc5cb55691c408822cc170fe536b8d946c9b9b74d6455e4b0e6d6c93c4"),
-    "ratio_table": (3, "dc7e11c504bb28565629fea65c40272af560a7dfcd1db10c95f1fc9863027d24"),
+    "_table": (3, "dc7e11c504bb28565629fea65c40272af560a7dfcd1db10c95f1fc9863027d24"),
     "_exact_pairs": (3, "8eb0de639105ebd7939b94a9df43f45b6383a1be45a83a6cfe4e3fab95f94789"),
     # on the CSV of with_dominated() instead
     "dominated-reported-efficient": (
@@ -408,7 +408,7 @@ class TestPlantedFaults:
             (scale, "_sigma_minus", _nudge_sigma, "min-decremental-ratio-matches-sweep"),
             (response, "build_response", _nudge_last_step, "response-curve-matches-sweep"),
             # one fault on each side of the per-unit ratio table
-            (rts, "ratio_table", _nudge_d_alpha_of_a, "radial-scores-match-enumeration"),
+            (rts, "_table", _nudge_d_alpha_of_a, "radial-scores-match-enumeration"),
             (oracle, "_exact_pairs", _nudge_d_beta_of_a, "radial-scores-match-enumeration"),
         ],
     )
@@ -450,7 +450,7 @@ class TestPlantedFaults:
         monkeypatch.setattr(
             rts,
             "_classify",
-            lambda rt, scores, w, tol: right(rt, scores, 0 if rt.reference == 3 else w, tol),
+            lambda rt, peers, w, tol: right(rt, peers, 0 if rt.reference == 3 else w, tol),
         )
         code, out, status = _verify_csv(capsys, stair_csv)
         assert status["max-incremental-ratio-matches-sweep"] == [
@@ -490,8 +490,8 @@ class TestPlantedFaults:
         monkeypatch.setattr(
             rts,
             "_classify",
-            lambda rt, scores, w, tol: right(
-                rt, scores, witness if rt.reference == 4 else w, tol
+            lambda rt, peers, w, tol: right(
+                rt, peers, witness if rt.reference == 4 else w, tol
             ),
         )
         code, out, status = _verify_csv(capsys, path)

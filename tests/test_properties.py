@@ -18,21 +18,31 @@ import io
 import math
 import random
 from fractions import _RATIONAL_FORMAT, Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import fdhscale as f
-from fdhscale import Delta, ParseError, Point, RtsReport, ValueSpreadError
+from fdhscale import (
+    Delta,
+    Orientation,
+    ParseError,
+    Point,
+    RtsReport,
+    Tolerance,
+    ValueSpreadError,
+)
 from fdhscale import io_cli, model, oracle
 from fdhscale.io_cli import _cell, _digest
 from fdhscale.oracle import _curve_runs
-from fdhscale.rts import _near, _pool
+from fdhscale.rts import _near, _pool, _projection
 from fdhscale.technology import _dominator_sets, dominating_peer
 
-from conftest import fraction_pairs, int_pairs
+from conftest import fraction_pairs, int_pairs, projected_copy
 
 DELTAS = tuple(Delta)
+TOL = Tolerance()
 
 
 @st.composite
@@ -209,13 +219,106 @@ def _each_unit(classify):
         return str(exc)
 
 
-@given(st.one_of(*TIE_DATA))
+@st.composite
+def eps_tie_datasets(draw):
+    """Rays at the eps scale: one input from {0.5, 1, 1.5, 2}, off by up to 3e-9
+    relative, so input ratios land in the eps band around 1; each output the
+    input times 0.5, 1 or 2, off by up to 3e-8. Other rows copy an earlier row
+    a millionth of its size, or with its input grown (by 1 + 1e-11, 1 + 5e-10,
+    1.5 or 2) and its outputs kept or shrunk (by 1 - 1e-11 or 3/4): a copy the
+    pool leaves out, near or past the eps band and the tie slack. Shuffled."""
+    n, s = draw(st.integers(2, 8)), draw(st.integers(1, 2))
+    near = st.floats(-3e-9, 3e-9)
+    inputs, outputs = [], []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["ray", "tiny", "copy"])) if inputs else "ray"
+        if kind == "ray":
+            x = draw(st.sampled_from([0.5, 1.0, 1.5, 2.0])) * (1 + draw(near))
+            inputs.append([x])
+            ratios = [draw(st.sampled_from([0.5, 1.0, 2.0])) for _ in range(s)]
+            outputs.append([x * r * (1 + draw(st.floats(-3e-8, 3e-8))) for r in ratios])
+            continue
+        k = draw(st.integers(0, len(inputs) - 1))
+        grow, shrink = 1e-6, 1e-6
+        if kind == "copy":
+            grow = draw(st.sampled_from([1 + 1e-11, 1 + 5e-10, 1.5, 2.0]))
+            shrink = draw(st.sampled_from([1.0, 1 - 1e-11, 0.75]))
+        inputs.append([grow * v for v in inputs[k]])
+        outputs.append([shrink * v for v in outputs[k]])
+    order = draw(st.permutations(range(n)))
+    return f.validate_dataset(
+        [f"U{i + 1}" for i in range(n)],
+        [inputs[k] for k in order],
+        [outputs[k] for k in order],
+    )
+
+
+@given(st.one_of(*TIE_DATA, eps_tie_datasets()))
 @settings(max_examples=400, deadline=None)
 def test_frontier_first_classify_all_equals_classifying_each_unit(d):
     got = _each_unit(lambda: f.classify_all(d))
     want = _each_unit(lambda: [f.classify_unit(d, o) for o in range(d.n)])
     # every field of every unit, each score's witness and scaling included
     assert got == want
+
+
+def _efficiency_equals_radial(d):
+    """``build_efficiency_document`` gives every unit the value, witness and
+    scaling of :func:`radial`, unrounded, in all eight settings."""
+    with mock.patch.object(io_cli, "_num", lambda v: v):  # compare unrounded
+        for delta in Delta:
+            for orientation in Orientation:
+                doc = io_cli.build_efficiency_document(d, delta, orientation)
+                want = [f.radial(d, delta, orientation, o) for o in range(d.n)]
+                assert [
+                    (rec["name"], rec["value"], rec["witness"], rec["delta"])
+                    for rec in doc["scores"]
+                ] == [
+                    (name, sc.value, d.names[sc.witness], sc.delta)
+                    for name, sc in zip(d.names, want)
+                ]
+
+
+def _projection_equals_a_projected_copy(d):
+    """``--project`` classifies a dominated unit, and gives its ratios, as
+    :func:`classify_unit` and :func:`scale_ratios` do on a projected copy."""
+
+    def reference():
+        out = []
+        for item in f.classify_all(d):
+            if isinstance(item, f.InefficientUnit):
+                again = f.classify_unit(projected_copy(d, item), item.reference)
+                out.append((again if isinstance(again, RtsReport) else item, True))
+            else:
+                out.append((item, False))
+        return out
+
+    got = _each_unit(lambda: io_cli._classified_units(d, TOL, True))
+    assert got == _each_unit(reference)
+    for o in range(d.n):
+        if f.find_dominating(d, Delta.VRS, o) is not None:
+            item = f.classify_unit(d, o)  # a dominated unit gets no global class
+            rt, _, w = _projection(d, item)
+            got = _outcome(io_cli._efficient_ratios, d, rt, w, TOL)
+            assert got == _outcome(f.scale_ratios, projected_copy(d, item), o)
+
+
+@given(st.one_of(*TIE_DATA, eps_tie_datasets(), datasets()))
+@settings(max_examples=150, deadline=None)
+def test_efficiency_and_projection_equal_their_per_unit_references(d):
+    _efficiency_equals_radial(d)
+    _projection_equals_a_projected_copy(d)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: _generated_floats(12, 300), lambda: oracle.random_dataset(5, 120, 2, 2)],
+    ids=["float-300", "exact-120"],
+)
+def test_efficiency_and_projection_equal_their_references_on_larger_data(make):
+    d = make()
+    _efficiency_equals_radial(d)
+    _projection_equals_a_projected_copy(d)
 
 
 def _generated_floats(seed, n, m=3, s=2):
@@ -934,7 +1037,7 @@ def test_columns_are_the_rows_transposed(raw, d):
     ]
     for item in f.classify_all(d):
         if isinstance(item, f.InefficientUnit):
-            copies.append(io_cli._project(d, item))
+            copies.append(projected_copy(d, item))
     for c in copies:
         assert c.columns == _rows_transposed(c)
 

@@ -169,6 +169,31 @@ class TestClassifyAll:
         assert d.names[marker.witness] == "B"
         assert all(isinstance(it, RtsReport) for it in items[:4])
 
+    def test_pool_row_in_the_eps_band_above_one_gets_the_full_table(self):
+        # e's input ratio against o is 1 + 5e-10, inside the eps band, so e is no
+        # incremental candidate; k, which e dominates and the pool leaves out,
+        # then carries o's sigma_plus. Over the pool alone it would read 0.
+        d = f.validate_dataset(
+            ["o", "e", "k"], [[1.0], [1 + 5e-10], [2.0]], [[1.0], [2.0], [1.5]]
+        )
+        assert rts._pool(d, _dominator_sets(d)) == [0, 1]
+        items = f.classify_all(d)
+        assert items == [f.classify_unit(d, o) for o in range(d.n)]
+        assert (items[0].sigma.sigma_plus, items[0].sigma.plus_witness) == (0.5, 2)
+
+    def test_tiny_pool_row_gets_the_full_table(self):
+        # k and e are a millionth of o's size and 1e-11 apart, relative: too far
+        # for the pool. But 1 - alpha and 1 - beta round alike, so k ties e on
+        # o's sigma_minus and, first by index, is its witness.
+        k, e = (1e-6 * (1 + 1e-11), 1e-6 * (1 - 1e-11)), (1e-6, 1e-6)
+        d = f.validate_dataset(
+            ["k", "e", "o"], [[k[0]], [e[0]], [1.0]], [[k[1]], [e[1]], [1.0]]
+        )
+        assert rts._pool(d, _dominator_sets(d)) == [1, 2]
+        items = f.classify_all(d)
+        assert items == [f.classify_unit(d, o) for o in range(d.n)]
+        assert (items[2].sigma.sigma_minus, items[2].sigma.minus_witness) == (1.0, 0)
+
     def test_score_mappings_iterate_in_delta_order(self):
         # E is dominated and outside the pool [A, B, C, D], so its scores come
         # from the pool's table; the report's records read them in this order
