@@ -173,10 +173,10 @@ def _pooled(
     ins, outs, floor = cols[: d.m], cols[d.m :], 1 + tol.eps
     for o, w in enumerate(lowest):
         rt, peers = _table(o, ins, outs, *d.unit(o)), pool
-        if w is None and any(
-            1 < a <= floor or a < _LOW and b < _LOW for a, b in zip(rt.alpha, rt.beta)
-        ):
-            rt, peers = ratio_table(d, o), range(d.n)
+        if w is None:  # one comparison per float bound: an exact entry converts it
+            above = [a for a in rt.alpha if a > 1]
+            if above and min(above) <= floor or min(map(max, rt.alpha, rt.beta)) < _LOW:
+                rt, peers = ratio_table(d, o), range(d.n)
         yield rt, peers, w
 
 

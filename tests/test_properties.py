@@ -33,7 +33,7 @@ from fdhscale import (
     Tolerance,
     ValueSpreadError,
 )
-from fdhscale import io_cli, model, oracle
+from fdhscale import efficiency, io_cli, model, oracle
 from fdhscale.io_cli import _cell, _digest
 from fdhscale.oracle import _curve_runs
 from fdhscale.rts import _near, _pool, _projection
@@ -264,8 +264,12 @@ def test_frontier_first_classify_all_equals_classifying_each_unit(d):
 
 def _efficiency_equals_radial(d):
     """``build_efficiency_document`` gives every unit the value, witness and
-    scaling of :func:`radial`, unrounded, in all eight settings."""
-    with mock.patch.object(io_cli, "_num", lambda v: v):  # compare unrounded
+    scaling of :func:`radial`, unrounded, in all eight settings. ``radial``
+    builds the unit's table on each call; here the eight settings share it."""
+    table = functools.lru_cache(maxsize=None)(lambda o: model.ratio_table(d, o))
+    with mock.patch.object(io_cli, "_num", lambda v: v), mock.patch.object(
+        efficiency, "ratio_table", lambda _, o: table(o)
+    ):  # compare unrounded
         for delta in Delta:
             for orientation in Orientation:
                 doc = io_cli.build_efficiency_document(d, delta, orientation)
@@ -282,11 +286,13 @@ def _efficiency_equals_radial(d):
 def _projection_equals_a_projected_copy(d):
     """``--project`` classifies a dominated unit, and gives its ratios, as
     :func:`classify_unit` and :func:`scale_ratios` do on a projected copy."""
+    markers = {}  # classify_all's marker of each dominated unit it reached
 
     def reference():
         out = []
         for item in f.classify_all(d):
             if isinstance(item, f.InefficientUnit):
+                markers[item.reference] = item
                 again = f.classify_unit(projected_copy(d, item), item.reference)
                 out.append((again if isinstance(again, RtsReport) else item, True))
             else:
@@ -295,9 +301,9 @@ def _projection_equals_a_projected_copy(d):
 
     got = _each_unit(lambda: io_cli._classified_units(d, TOL, True))
     assert got == _each_unit(reference)
-    for o in range(d.n):
-        if f.find_dominating(d, Delta.VRS, o) is not None:
-            item = f.classify_unit(d, o)  # a dominated unit gets no global class
+    for o, above in enumerate(_dominator_sets(d)):
+        if above:  # some unit dominates o; it gets no global class, so no raise
+            item = markers.get(o) or f.classify_unit(d, o)
             rt, _, w = _projection(d, item)
             got = _outcome(io_cli._efficient_ratios, d, rt, w, TOL)
             assert got == _outcome(f.scale_ratios, projected_copy(d, item), o)
@@ -779,9 +785,24 @@ def _outcome(parse, *args):
 
 
 def _fraction_cell(text):
-    """The float cell parse by way of ``Fraction``, with the underflow rule."""
+    """The float cell parse by way of ``Fraction``, with the underflow rule.
+
+    ``Fraction`` builds 10**exponent, in minutes once the exponent has eight
+    digits. Beyond 10**6 either way the outcome follows from the literal's sign
+    and whether its digits are all zero: each run of digits has at most 4300
+    (``int`` refuses more), so a nonzero value lies above 1e990000 or below
+    1e-990000 and overflows, or rounds to zero.
+    """
     where = f"row 2, column 'in_x': {text!r}"
     try:
+        m = _RATIONAL_FORMAT.match(text)
+        if m and m["exp"] and abs(int(m["exp"])) > 10**6:
+            digits = int(m["num"] or "0"), int(m["decimal"] or "0")
+            if not any(digits):
+                return 0.0
+            if int(m["exp"]) > 0 or m["sign"] != "-":
+                raise ValueSpreadError(f"{where} is outside the double range")
+            return -0.0
         q = F(text)
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"row 2, column 'in_x': bad number {text!r}")
