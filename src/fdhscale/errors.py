@@ -67,12 +67,6 @@ class OutOfDomainError(AnalysisError):
     code = "OUT_OF_DOMAIN"
 
 
-class UnclassifiableError(AnalysisError):
-    """Scores are numerically inconsistent with every global class pattern."""
-
-    code = "UNCLASSIFIABLE"
-
-
 class ParseError(AnalysisError):
     """Malformed CSV input."""
 

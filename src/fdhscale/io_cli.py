@@ -32,15 +32,16 @@ from .errors import (
     ParseError,
     RaggedRowsError,
     ReportWriteError,
-    UnclassifiableError,
     ValueSpreadError,
 )
-from .model import Dataset, Delta, Numeric, Orientation, Tolerance, validate_dataset
+from .model import Dataset, Delta, Numeric, Orientation, Tolerance, ratio_table
+from .model import validate_dataset
 from .oracle import OracleConfig, merge_checks, verify_dataset, verify_random
 from .response import build_response
 from .rts import InefficientUnit, RtsReport, _classify, _pooled, _projection
-from .rts import classify_all, classify_unit
-from .scale import UNBOUNDED, _efficient_ratios, scale_ratios
+from .rts import classify_all
+from .scale import UNBOUNDED, _efficient_ratios
+from .technology import dominating_peer
 
 
 def read_csv(source: Union[str, Path], exact: bool = False) -> Dataset:
@@ -279,7 +280,8 @@ def _classified_units(d: Dataset, tol: Tolerance, project: bool):
     out = []
     for item in classify_all(d, tol):
         if project and isinstance(item, InefficientUnit):
-            again = _classify(*_projection(d, item), tol)
+            grow = item.scores.phi[Delta.VRS].value
+            again = _classify(*_projection(d, item.reference, grow), tol)
             out.append((again if isinstance(again, RtsReport) else item, True))
         else:
             out.append((item, False))
@@ -377,13 +379,12 @@ def build_ratios_document(
     d: Dataset, name: str, tol: Tolerance = Tolerance(), project: bool = False
 ) -> dict:
     o = d.index_of(name)
-    item = classify_unit(d, o, tol) if project else None
-    projected = isinstance(item, InefficientUnit)
-    if projected:
-        rt, _, w = _projection(d, item)
-        ratios = _efficient_ratios(d, rt, w, tol)
-    else:
-        ratios = scale_ratios(d, o, tol)
+    rt = ratio_table(d, o)
+    w = dominating_peer(d, rt)
+    projected = project and w is not None
+    if projected:  # onto the frontier, by the unit's variable-returns output score
+        rt, _, w = _projection(d, o, _phis(rt, range(d.n))[Delta.VRS].value)
+    ratios = _efficient_ratios(d, rt, w, tol)
     return {
         "header": _header(d, tol, projected),
         "name": name,
@@ -570,9 +571,6 @@ def main(argv: Union[Sequence[str], None] = None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except UnclassifiableError as exc:
-        print(f"error [{exc.code}]: {exc}", file=sys.stderr)
-        return 3
     except AnalysisError as exc:
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)
         return 2

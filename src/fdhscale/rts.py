@@ -19,7 +19,6 @@ from enum import Enum
 from typing import Iterator, Mapping, Sequence, Union
 
 from .efficiency import EfficiencyScores, Score, _phis, _thetas
-from .errors import UnclassifiableError
 from .model import Dataset, Delta, Numeric, RatioTable, Tolerance, _table, ratio_table
 from .scale import RatioValue, ScaleRatios, _scale_ratios
 from .technology import _dominator_sets, _units, dominating_peer
@@ -66,19 +65,16 @@ def _side_class(kind: type[Enum], ratio: RatioValue, tol: Tolerance) -> Enum:
 
 
 def _grs(theta: Mapping[Delta, Score], mpss: bool, tol: Tolerance) -> GrsClass:
-    """Scores within eps are equal; with all three equal, G-CRS at the most
-    productive scale size ``mpss``, else G-SCRS."""
+    """G-IRS when the ndrs score exceeds the crs score by more than eps, G-DRS when
+    the nirs score does; else G-CRS at the most productive scale size ``mpss``, or
+    G-SCRS. The crs score is the lesser of the other two (docs/derivations.md,
+    "Global classes"), so at most one gap is nonzero."""
     tc, tni, tnd = (theta[reg].value for reg in (Delta.CRS, Delta.NIRS, Delta.NDRS))
-    eq_ni, eq_nd = abs(tc - tni) <= tol.eps, abs(tc - tnd) <= tol.eps
-    if eq_ni and eq_nd:
-        return GrsClass.CRS if mpss else GrsClass.SCRS
-    if eq_ni and tnd > tc:
+    if tnd - tc > tol.eps:
         return GrsClass.IRS
-    if eq_nd and tni > tc:
+    if tni - tc > tol.eps:
         return GrsClass.DRS
-    raise UnclassifiableError(
-        f"scores crs={tc!r} nirs={tni!r} ndrs={tnd!r} fit no global pattern"
-    )
+    return GrsClass.CRS if mpss else GrsClass.SCRS
 
 
 @dataclass(frozen=True)
@@ -113,10 +109,6 @@ def classify_unit(
     efficient unit also gets its scale ratios and its one-sided and global
     classes; a dominated unit gets a marker naming the lowest-index unit
     that dominates it.
-
-    Raises:
-        UnclassifiableError: an efficient unit's scores fit no global
-            pattern, which only float rounding can cause.
     """
     rt = ratio_table(d, o)
     return _classify(rt, range(d.n), dominating_peer(d, rt), tol)
@@ -181,16 +173,16 @@ def _pooled(
 
 
 def _projection(
-    d: Dataset, unit: InefficientUnit
+    d: Dataset, o: int, grow: Numeric
 ) -> tuple[RatioTable, Sequence[int], int | None]:
-    """A dominated unit projected onto the frontier: its table, the units of the
+    """Unit ``o`` with its outputs grown by ``grow``: its table, the units of the
     table's rows, and the lowest-index unit that still dominates it, or None.
 
-    The unit's outputs grow by its variable-returns output score. The table reads
-    every unit, the unit's own row holding the projected point, as a copy of the
-    dataset with that row would give (docs/derivations.md, "One pass per unit").
+    A dominated unit grows by its variable-returns output score, onto the
+    frontier. The table reads every unit, the unit's own row holding the grown
+    point, as a copy of the dataset with that row would give (docs/derivations.md,
+    "One pass per unit").
     """
-    o, grow = unit.reference, unit.scores.phi[Delta.VRS].value
     xo, yo = d.inputs[o], tuple(grow * v for v in d.outputs[o])
     outs = [col[:o] + (v,) + col[o + 1 :] for col, v in zip(d.columns[d.m :], yo)]
     rt = _table(o, d.columns[: d.m], outs, xo, yo)
@@ -229,18 +221,17 @@ def check_consistency(report: RtsReport, tol: Tolerance = Tolerance()) -> list[s
     a globally decreasing unit left-decreasing, and the two constant-like
     global classes bound both ratios.
     """
-    eps = tol.eps
-    sp = report.sigma.sigma_plus
-    sm = report.sigma.sigma_minus
-    right = report.one_sided.right
-    left = report.one_sided.left
+    sp, sm = report.sigma.sigma_plus, report.sigma.sigma_minus
+    right, left = report.one_sided.right, report.one_sided.left
+    # each side's class as the ratio reads, by the rule of the one-sided classes
+    by_plus, by_minus = _side_class(RightRts, sp, tol), _side_class(LeftRts, sm, tol)
     out: list[str] = []
 
-    if right is not _side_class(RightRts, sp, tol):
+    if right is not by_plus:
         out.append(
             f"right class {right.value} disagrees with incremental ratio {sp!r}"
         )
-    if left is not _side_class(LeftRts, sm, tol):
+    if left is not by_minus:
         out.append(
             f"left class {left.value} disagrees with decremental ratio {sm!r}"
         )
@@ -249,11 +240,15 @@ def check_consistency(report: RtsReport, tol: Tolerance = Tolerance()) -> list[s
         out.append("globally increasing unit is not right-increasing")
     if report.grs is GrsClass.DRS and left is not LeftRts.DRS:
         out.append("globally decreasing unit is not left-decreasing")
-    if report.grs is GrsClass.CRS and not (sp <= 1 + eps and sm >= 1 - eps):
+    if report.grs is GrsClass.CRS and (
+        by_plus is RightRts.IRS or by_minus is LeftRts.DRS
+    ):
         out.append(
             f"globally constant unit has ratios {sp!r}/{sm!r} off the unit point"
         )
-    if report.grs is GrsClass.SCRS and not (sp > 1 + eps and sm < 1 - eps):
+    if report.grs is GrsClass.SCRS and not (
+        by_plus is RightRts.IRS and by_minus is LeftRts.DRS
+    ):
         out.append(
             f"globally sub-constant unit has ratios {sp!r}/{sm!r} not straddling 1"
         )

@@ -9,9 +9,11 @@ import fdhscale as f
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
-# per-quantity functions replaced by the one entry point per quantity, and
-# the per-regime score scans replaced by shared reductions per orientation
+# per-quantity functions replaced by the one entry point per quantity, the
+# per-regime score scans replaced by shared reductions per orientation, and
+# the error of a global class that every efficient unit has
 REMOVED = {
+    "errors": ("UnclassifiableError",),
     "efficiency": ("compute_scores", "is_mpss", "_theta", "_phi", "_scores", "_at_mpss"),
     "scale": ("sigma_plus", "sigma_minus", "SigmaResult"),
     "rts": ("right_rts", "left_rts", "grs", "_frontier_pool"),

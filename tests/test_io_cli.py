@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import fdhscale as f
-from fdhscale import Delta, Orientation, Tolerance, io_cli
+from fdhscale import Delta, Orientation, Tolerance, io_cli, model, rts
 
 from conftest import make_staircase, with_dominated
 
@@ -266,6 +266,24 @@ class TestProjection:
         assert doc["projected"] is True
         assert doc["sigma_plus"] == 0 and doc["sigma_minus"] == 1.015384615385
 
+    @pytest.mark.parametrize("name,tables", [("B", [1]), ("E", [4, 4])])
+    def test_ratios_with_projection_build_each_table_once(
+        self, monkeypatch, name, tables
+    ):
+        # an efficient unit's own table, and a dominated unit's own then its
+        # projected one; model._table builds every table
+        d = with_dominated("E", x=(6,), y=(5,)).as_float()
+        built, table = [], model._table
+
+        def counted(o, *args):
+            built.append(o)
+            return table(o, *args)
+
+        monkeypatch.setattr(model, "_table", counted)
+        monkeypatch.setattr(rts, "_table", counted)
+        doc = f.build_ratios_document(d, name, project=True)
+        assert doc["projected"] is (name == "E") and built == tables
+
 
 class TestCli:
     def run(self, capsys, *argv):
@@ -291,6 +309,17 @@ class TestCli:
         )
         assert code == 0 and out == ""
         assert json.loads(target.read_text(encoding="utf-8"))
+
+    def test_out_into_a_missing_directory_is_io_error(
+        self, capsys, stair_csv, tmp_path
+    ):
+        target = tmp_path / "missing" / "report.json"
+        code, out, err = self.run(
+            capsys, "report", "--input", str(stair_csv), "--out", str(target)
+        )
+        assert code == 2 and out == "" and not target.parent.exists()
+        assert err.startswith(f"error [IO_ERROR]: cannot write {target}: ")
+        assert err.count("\n") == 1
 
     def test_efficiency_flags(self, capsys, stair_csv):
         code, out, _ = self.run(
@@ -507,12 +536,14 @@ class TestInputDefects:
         assert code == 2 and out == ""
         assert err == "error [PARSE_ERROR]: row 2: empty unit name\n"
 
-    def test_nan_alpha_max(self, capsys, tmp_path):
+    @pytest.mark.parametrize("value", ["nan", "abc"])
+    def test_alpha_max_that_is_no_number(self, capsys, tmp_path, value):
         text = "dmu,in_x,out_y\nA,1,2\n"
         code, out, err = self.run(
-            capsys, tmp_path, text, "response", "--dmu", "A", "--alpha-max", "nan"
+            capsys, tmp_path, text, "response", "--dmu", "A", "--alpha-max", value
         )
-        assert code == 1 and out == "" and "--alpha-max" in err
+        assert code == 1 and out == ""
+        assert err.endswith(f"argument --alpha-max: invalid float value: '{value}'\n")
 
     @pytest.mark.parametrize("command", ["report", "classify"])
     @pytest.mark.parametrize(

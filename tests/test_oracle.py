@@ -223,6 +223,33 @@ class TestVerification:
         assert all(r.passed for r in results)
         assert all("datasets" in r.detail for r in results)
 
+    def test_scores_out_of_regime_order_fail_the_nesting_check(self, stair):
+        # B's crs score raised to 1, above its nirs score 8/13; a larger input
+        # bound keeps every witness feasible and every score in bounds
+        report = f.classify_all(stair)[1]
+        theta = dict(report.scores.theta)
+        theta[Delta.CRS] = dataclasses.replace(theta[Delta.CRS], value=F(1))
+        broken = dataclasses.replace(
+            report, scores=dataclasses.replace(report.scores, theta=theta)
+        )
+        cols = oracle._columns(stair)
+        assert list(oracle._score_failures(stair, cols, report, None)) == []
+        assert list(oracle._score_failures(stair, cols, broken, None)) == [
+            "regime nesting violated at B"
+        ]
+
+    def test_output_rich_peer_that_is_no_larger_fails_an_increasing_unit(self):
+        # A's sound G-IRS report read against E's pairs, where B uses less
+        # input (3 against 4) and makes more output (4 against 3)
+        d = with_dominated("E", x=(4,), y=(3,))
+        report = f.classify_all(d)[0]
+        assert report.grs is f.GrsClass.IRS and f.check_consistency(report) == []
+        broken = dataclasses.replace(report, reference=4)
+        pairs = oracle._unit_pairs(d, 4)
+        assert list(oracle._implication_failures(d, broken, pairs, f.Tolerance())) == [
+            "E: output-rich peer not larger"
+        ]
+
     def test_merge_keeps_first_failure(self):
         good = f.CheckResult("x", True, "ok")
         bad = f.CheckResult("x", False, "boom")

@@ -113,6 +113,11 @@ def test_dominance_matches_componentwise_definition(d):
 
 
 NEAR_ONE = (1.0, 1.0 + 2**-52, 1.0 - 2**-53)
+# Strategies the composites draw from, each built once: hypothesis caches no
+# ``sampled_from`` and would validate a new one on every draw.
+NEAR_VALUES = st.sampled_from(NEAR_ONE + (2.0, 3.0))
+ROW_KINDS = st.sampled_from(["fresh", "duplicate", "copy"])
+COPY_SCALES = st.sampled_from([0.5, 2.0, 3.0])
 
 
 @st.composite
@@ -122,16 +127,15 @@ def near_tie_datasets(draw, exact):
     n = draw(st.integers(1, 7))
     m = draw(st.integers(1, 2))
     s = draw(st.integers(1, 2))
-    pool = st.sampled_from(NEAR_ONE + (2.0, 3.0))
     inputs, outputs = [], []
     for _ in range(n):
-        kind = draw(st.sampled_from(["fresh", "duplicate", "copy"])) if inputs else "fresh"
+        kind = draw(ROW_KINDS) if inputs else "fresh"
         if kind == "fresh":
-            inputs.append([draw(pool) for _ in range(m)])
-            outputs.append([draw(pool) for _ in range(s)])
+            inputs.append([draw(NEAR_VALUES) for _ in range(m)])
+            outputs.append([draw(NEAR_VALUES) for _ in range(s)])
         else:
             k = draw(st.integers(0, len(inputs) - 1))
-            t = 1.0 if kind == "duplicate" else draw(st.sampled_from([0.5, 2.0, 3.0]))
+            t = 1.0 if kind == "duplicate" else draw(COPY_SCALES)
             inputs.append([t * v for v in inputs[k]])
             outputs.append([t * v for v in outputs[k]])
     d = f.validate_dataset([f"U{i + 1}" for i in range(n)], inputs, outputs)
@@ -146,6 +150,10 @@ def test_table_dominance_matches_interval_test(d):
         assert dominating_peer(d, rt) == f.find_dominating(d, Delta.VRS, o)
 
 
+TIE_FACTORS = st.sampled_from([0.5, 1.0 - 2**-53, 2.0, 1.0 + 2**-52, 3.0])
+TIE_KINDS = st.sampled_from(["fresh", "duplicate", "copy", "outputs", "inputs"])
+
+
 @st.composite
 def tie_heavy_datasets(draw, exact):
     """Rows derived from earlier rows: duplicates, copies scaled by k, and
@@ -157,17 +165,15 @@ def tie_heavy_datasets(draw, exact):
     n = draw(st.integers(2, 8))
     m = draw(st.integers(1, 2))
     s = draw(st.integers(1, 2))
-    pool = st.sampled_from(NEAR_ONE + (2.0, 3.0))
-    factor = st.sampled_from([0.5, 1.0 - 2**-53, 2.0, 1.0 + 2**-52, 3.0])
-    inputs = [[draw(pool) for _ in range(m)]]
-    outputs = [[draw(pool) for _ in range(s)]]
+    inputs = [[draw(NEAR_VALUES) for _ in range(m)]]
+    outputs = [[draw(NEAR_VALUES) for _ in range(s)]]
     for _ in range(n - 1):
-        kind = draw(st.sampled_from(["fresh", "duplicate", "copy", "outputs", "inputs"]))
+        kind = draw(TIE_KINDS)
         k = draw(st.integers(0, len(inputs) - 1))
-        t = 1.0 if kind == "duplicate" else draw(factor)
+        t = 1.0 if kind == "duplicate" else draw(TIE_FACTORS)
         if kind == "fresh":
-            inputs.append([draw(pool) for _ in range(m)])
-            outputs.append([draw(pool) for _ in range(s)])
+            inputs.append([draw(NEAR_VALUES) for _ in range(m)])
+            outputs.append([draw(NEAR_VALUES) for _ in range(s)])
         else:
             inputs.append([v * (1 if kind == "outputs" else t) for v in inputs[k]])
             outputs.append([v * (1 if kind == "inputs" else t) for v in outputs[k]])
@@ -212,11 +218,11 @@ def test_dominator_sets_match_all_pairs_dominance(d):
     assert set(pool) == efficient | ties
 
 
-def _each_unit(classify):
-    try:
-        return classify()
-    except f.UnclassifiableError as exc:
-        return str(exc)
+RAY_INPUTS = st.sampled_from([0.5, 1.0, 1.5, 2.0])
+RAY_SLOPES = st.sampled_from([0.5, 1.0, 2.0])
+EPS_KINDS = st.sampled_from(["ray", "tiny", "copy"])
+EPS_GROWTH = st.sampled_from([1 + 1e-11, 1 + 5e-10, 1.5, 2.0])
+EPS_SHRINK = st.sampled_from([1.0, 1 - 1e-11, 0.75])
 
 
 @st.composite
@@ -231,18 +237,18 @@ def eps_tie_datasets(draw):
     near = st.floats(-3e-9, 3e-9)
     inputs, outputs = [], []
     for _ in range(n):
-        kind = draw(st.sampled_from(["ray", "tiny", "copy"])) if inputs else "ray"
+        kind = draw(EPS_KINDS) if inputs else "ray"
         if kind == "ray":
-            x = draw(st.sampled_from([0.5, 1.0, 1.5, 2.0])) * (1 + draw(near))
+            x = draw(RAY_INPUTS) * (1 + draw(near))
             inputs.append([x])
-            ratios = [draw(st.sampled_from([0.5, 1.0, 2.0])) for _ in range(s)]
+            ratios = [draw(RAY_SLOPES) for _ in range(s)]
             outputs.append([x * r * (1 + draw(st.floats(-3e-8, 3e-8))) for r in ratios])
             continue
         k = draw(st.integers(0, len(inputs) - 1))
         grow, shrink = 1e-6, 1e-6
         if kind == "copy":
-            grow = draw(st.sampled_from([1 + 1e-11, 1 + 5e-10, 1.5, 2.0]))
-            shrink = draw(st.sampled_from([1.0, 1 - 1e-11, 0.75]))
+            grow = draw(EPS_GROWTH)
+            shrink = draw(EPS_SHRINK)
         inputs.append([grow * v for v in inputs[k]])
         outputs.append([shrink * v for v in outputs[k]])
     order = draw(st.permutations(range(n)))
@@ -256,10 +262,8 @@ def eps_tie_datasets(draw):
 @given(st.one_of(*TIE_DATA, eps_tie_datasets()))
 @settings(max_examples=400, deadline=None)
 def test_frontier_first_classify_all_equals_classifying_each_unit(d):
-    got = _each_unit(lambda: f.classify_all(d))
-    want = _each_unit(lambda: [f.classify_unit(d, o) for o in range(d.n)])
     # every field of every unit, each score's witness and scaling included
-    assert got == want
+    assert f.classify_all(d) == [f.classify_unit(d, o) for o in range(d.n)]
 
 
 def _efficiency_equals_radial(d):
@@ -299,12 +303,11 @@ def _projection_equals_a_projected_copy(d):
                 out.append((item, False))
         return out
 
-    got = _each_unit(lambda: io_cli._classified_units(d, TOL, True))
-    assert got == _each_unit(reference)
+    assert io_cli._classified_units(d, TOL, True) == reference()
     for o, above in enumerate(_dominator_sets(d)):
-        if above:  # some unit dominates o; it gets no global class, so no raise
+        if above:  # some unit dominates o
             item = markers.get(o) or f.classify_unit(d, o)
-            rt, _, w = _projection(d, item)
+            rt, _, w = _projection(d, o, item.scores.phi[Delta.VRS].value)
             got = _outcome(io_cli._efficient_ratios, d, rt, w, TOL)
             assert got == _outcome(f.scale_ratios, projected_copy(d, item), o)
 
@@ -325,6 +328,39 @@ def test_efficiency_and_projection_equal_their_references_on_larger_data(make):
     d = make()
     _efficiency_equals_radial(d)
     _projection_equals_a_projected_copy(d)
+
+
+def _four_pattern_grs(theta, mpss, tol):
+    """The global class by the four score patterns, scores within eps counting as
+    equal, or None where the scores fit none of them."""
+    tc, tni, tnd = (theta[reg].value for reg in (Delta.CRS, Delta.NIRS, Delta.NDRS))
+    eq_ni, eq_nd = abs(tc - tni) <= tol.eps, abs(tc - tnd) <= tol.eps
+    if eq_ni and eq_nd:
+        return f.GrsClass.CRS if mpss else f.GrsClass.SCRS
+    if eq_ni and tnd > tc:
+        return f.GrsClass.IRS
+    if eq_nd and tni > tc:
+        return f.GrsClass.DRS
+    return None
+
+
+@pytest.mark.parametrize("eps", [1e-15, 1e-9, 9e-4])
+@given(st.one_of(datasets(), *TIE_DATA, eps_tie_datasets()))
+@settings(max_examples=100, deadline=None)
+def test_crs_score_is_the_lesser_one_sided_score_and_grs_fits_a_pattern(eps, d):
+    # every efficient unit of classify_all, classify_unit and --project: the
+    # variable-returns score is 1, so the crs score equals the lesser of the
+    # nirs and ndrs scores bit for bit, and the gap rule gives the class of
+    # the four patterns, which the scores therefore always fit
+    tol = Tolerance(eps)
+    items = f.classify_all(d, tol) + [f.classify_unit(d, o, tol) for o in range(d.n)]
+    items += [item for item, _ in io_cli._classified_units(d, tol, True)]
+    for item in items:
+        if isinstance(item, RtsReport):
+            th = {reg: sc.value for reg, sc in item.scores.theta.items()}
+            assert th[Delta.VRS] == 1
+            assert th[Delta.CRS] == min(th[Delta.NIRS], th[Delta.NDRS])
+            assert item.grs is _four_pattern_grs(item.scores.theta, item.mpss, tol)
 
 
 def _generated_floats(seed, n, m=3, s=2):
@@ -577,18 +613,20 @@ def prime_datasets(draw):
     return _drawn_dataset(draw, value)
 
 
+DOUBLES = st.one_of(
+    st.floats(5e-324, 2.2250738585072014e-308),
+    st.builds(
+        math.ldexp, st.floats(0.5, 1.0, exclude_max=True), st.integers(-500, 500)
+    ),
+    st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+)
+
+
 @st.composite
 def double_datasets(draw):
     """Doubles read as exact: subnormals, entries from 2**-500 to 2**500 in one
     column, and a few small values that tie."""
-    doubles = st.one_of(
-        st.floats(5e-324, 2.2250738585072014e-308),
-        st.builds(
-            math.ldexp, st.floats(0.5, 1.0, exclude_max=True), st.integers(-500, 500)
-        ),
-        st.sampled_from([0.5, 1.0, 2.0, 3.0]),
-    )
-    return _drawn_dataset(draw, lambda: F(draw(doubles)))
+    return _drawn_dataset(draw, lambda: F(draw(DOUBLES)))
 
 
 def _reference_pairs(d, o):
@@ -620,6 +658,9 @@ def _reference_ratios(pairs):
     minus = min((slope for slope, above in slopes if not above), default=f.UNBOUNDED)
     return plus, minus
 
+
+# factors by which a drawn witness verdict's bound misses the scaled witness
+NEAR_FACTORS = st.sampled_from([F(1), F(999_999, 10**6), F(1_000_001, 10**6)])
 
 REFERENCE_SYSTEMS = {
     f.ScalingSystem.RIGHT_STRICT: lambda a, b: max(a, 1) < b,
@@ -656,10 +697,9 @@ def test_int_oracle_equals_a_fraction_reference(d, data):
         assert oracle._walk(pairs, [], at) == (None, len({a for a, _ in ref}))
         j = data.draw(st.integers(0, d.n - 1))
         a, b = ref[j]
-        near = st.sampled_from([F(1), F(999_999, 10**6), F(1_000_001, 10**6)])
         t = data.draw(st.sampled_from([F(1), 1 / a, 1 / b, F(1, 2), F(2)]))
-        shrink = data.draw(st.sampled_from([t * a, F(1)])) * data.draw(near)
-        grow = data.draw(st.sampled_from([t * b, F(1)])) * data.draw(near)
+        shrink = data.draw(st.sampled_from([t * a, F(1)])) * data.draw(NEAR_FACTORS)
+        grow = data.draw(st.sampled_from([t * b, F(1)])) * data.draw(NEAR_FACTORS)
         (xj, yj), (xo, yo) = d.unit(j), d.unit(o)
         fits = all(t * v <= shrink * w for v, w in zip(xj, xo)) and all(
             t * v >= grow * w for v, w in zip(yj, yo)
@@ -736,9 +776,9 @@ def ray_tie_datasets(draw):
     n, s = draw(st.integers(1, 8)), draw(st.integers(1, 2))
     inputs, outputs = [], []
     for _ in range(n):
-        x = draw(st.sampled_from([0.5, 1.0, 1.5, 2.0]))
+        x = draw(RAY_INPUTS)
         inputs.append([x])
-        ratios = [draw(st.sampled_from([0.5, 1.0, 2.0])) for _ in range(s)]
+        ratios = [draw(RAY_SLOPES) for _ in range(s)]
         outputs.append([x * r * (1 + draw(st.floats(-3e-8, 3e-8))) for r in ratios])
     return f.validate_dataset([f"U{i + 1}" for i in range(n)], inputs, outputs)
 
@@ -860,7 +900,16 @@ LONG_CELLS = ["0." + "1" * 5000, "1" + "0" * 5000 + "e-5000", "2." + "5" * 4400]
 # cells, with or without a comma inside, and malformed quotes.
 QUOTED_CELLS = ['"2.5"', '" 3 "', '"1,5"', '""', '"a""b"', '2"5', '"7"x']
 # Header faults, each checked before any body line is read.
-BAD_HEADERS = ["name,in_0,out_0", "dmu,out_0,in_0", "dmu,in_0,x_0,out_0", "dmu", ""]
+BAD_HEADERS = st.sampled_from(
+    ["name,in_0,out_0", "dmu,out_0,in_0", "dmu,in_0,x_0,out_0", "dmu", ""]
+)
+PLAIN_PADS, ALL_PADS = st.sampled_from(PADS), st.sampled_from(PADS + CONTROL_PADS)
+ODD_CELLS = st.one_of(
+    st.sampled_from(FLOAT_CELLS + QUOTED_CELLS), st.sampled_from(LONG_CELLS), cells
+)
+ODD_NAMES = st.sampled_from(["U0", "", " ", "\x1f"])
+BLANK_LINES = st.sampled_from(["", " ", "\t", ",", "\r", "\x00", "U9,\x00,1"])
+LINE_ENDS = st.sampled_from(["\r", "\x00", ' "', "\r\r"])
 
 
 @st.composite
@@ -870,36 +919,33 @@ def float_csv_texts(draw):
     quoted cells, blank lines, carriage returns, NULs or a faulty header, which
     the ``csv`` module reads."""
     m, s = draw(st.integers(1, 2)), draw(st.integers(1, 2))
-    pad = st.sampled_from(PADS + (CONTROL_PADS if draw(one_in(4)) else []))
+    pad = ALL_PADS if draw(one_in(4)) else PLAIN_PADS
     plain = st.one_of(
         st.floats(1e-3, 1e6).map(repr), st.integers(1, 10**20).map(str)
     ).map(lambda c: draw(pad) + c + draw(pad))
-    odd = st.one_of(
-        st.sampled_from(FLOAT_CELLS + QUOTED_CELLS), st.sampled_from(LONG_CELLS), cells
-    )
     messy, ragged, odd_names = draw(one_in(2)), draw(one_in(4)), draw(one_in(4))
     quoted = draw(one_in(4))
     lines = ["dmu," + ",".join([f"in_{k}" for k in range(m)] + [f"out_{k}" for k in range(s)])]
     if draw(one_in(8)):
-        lines[0] = draw(st.sampled_from(BAD_HEADERS))
+        lines[0] = draw(BAD_HEADERS)
     for k in range(draw(st.integers(0, 6))):
         width = draw(st.integers(1, 6)) if ragged and draw(one_in(3)) else 1 + m + s
         name = f" U{k}\u00a0" if odd_names else f"U{k}"
         if odd_names and draw(one_in(3)):
-            name = draw(st.sampled_from(["U0", "", " ", "\x1f"]))
+            name = draw(ODD_NAMES)
         row = [name] + [draw(plain) for _ in range(width - 1)]
         if messy and width > 1:
-            row[draw(st.integers(1, width - 1))] = draw(odd)
+            row[draw(st.integers(1, width - 1))] = draw(ODD_CELLS)
         if quoted and draw(st.booleans()):
             j = draw(st.integers(0, width - 1))
             row[j] = f'"{row[j]}"'
         lines.append(",".join(row))
     for _ in range(draw(st.integers(0, 2)) if draw(one_in(3)) else 0):
-        blank = draw(st.sampled_from(["", " ", "\t", ",", "\r", "\x00", "U9,\x00,1"]))
+        blank = draw(BLANK_LINES)
         lines.insert(draw(st.integers(0, len(lines))), blank)
     if draw(one_in(6)):
         k = draw(st.integers(0, len(lines) - 1))
-        lines[k] += draw(st.sampled_from(["\r", "\x00", ' "', "\r\r"]))
+        lines[k] += draw(LINE_ENDS)
     return "\n".join(lines) + "\n"
 
 
@@ -945,15 +991,15 @@ validation_entries = st.one_of(
 )
 
 
+COLUMN_KINDS = st.sampled_from([st.floats(1e-6, 1e6), st.fractions(F(1, 50), 50)])
+
+
 @st.composite
 def validation_tables(draw):
     """Raw names and rows with one kind per column, then up to two entries
     swapped for any entry at all, and sometimes one row cut or lengthened."""
     n, m, s = draw(st.integers(1, 4)), draw(st.integers(1, 2)), draw(st.integers(1, 2))
-    kinds = [
-        draw(st.sampled_from([st.floats(1e-6, 1e6), st.fractions(F(1, 50), 50)]))
-        for _ in range(m + s)
-    ]
+    kinds = [draw(COLUMN_KINDS) for _ in range(m + s)]
     inputs = [[draw(kinds[c]) for c in range(m)] for _ in range(n)]
     outputs = [[draw(kinds[m + c]) for c in range(s)] for _ in range(n)]
     for _ in range(draw(st.integers(0, 2))):
@@ -1010,12 +1056,15 @@ entries = st.one_of(
 )
 
 
+ENTRY_KINDS = st.sampled_from([float_entries, entries])
+
+
 @st.composite
 def raw_datasets(draw):
     """Unvalidated datasets: each column all floats, as in a parsed file, or a
     mix of float, int and Fraction entries."""
     n, m, s = draw(st.integers(1, 5)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    kinds = [draw(st.sampled_from([float_entries, entries])) for _ in range(m + s)]
+    kinds = [draw(ENTRY_KINDS) for _ in range(m + s)]
     names = tuple(draw(st.text(max_size=4)) for _ in range(n))
     inputs = tuple(tuple(draw(kinds[c]) for c in range(m)) for _ in range(n))
     outputs = tuple(tuple(draw(kinds[m + c]) for c in range(s)) for _ in range(n))
@@ -1074,8 +1123,14 @@ def test_digest_of_a_large_float_csv_equals_fraction_strings():
     assert _digest(d) == _digest_by_fraction(d)
 
 
+@functools.cache  # one strategy per k, as for the constants above
 def one_in(k):
     return st.sampled_from([True] + [False] * (k - 1))
+
+
+PLAIN_NUMBERS = st.one_of(st.integers(1, 50).map(str), st.floats(0.01, 100).map(repr))
+BOMS = st.sampled_from([b"", b"\xef\xbb\xbf"])
+BAD_BYTES = st.sampled_from([b""] * 5 + [b"\xff"])
 
 
 @st.composite
@@ -1087,20 +1142,17 @@ def csv_files(draw):
     """
     m, s = draw(st.integers(1, 2)), draw(st.integers(1, 2))
     header = ["dmu"] + [f"in_{k}" for k in range(m)] + [f"out_{k}" for k in range(s)]
-    plain = st.one_of(st.integers(1, 50).map(str), st.floats(0.01, 100).map(repr))
     lines = [",".join(header)]
     for k in range(draw(st.integers(0, 6))):
         ragged, messy = draw(one_in(10)), draw(one_in(5))
         width = draw(st.integers(0, 7)) if ragged else len(header)
         row = [draw(st.sampled_from([f"U{k}"] * 6 + ["U0", ""]))]
-        row += [draw(plain) for _ in range(width - 1)]
+        row += [draw(PLAIN_NUMBERS) for _ in range(width - 1)]
         if messy and len(row) > 1:
             row[draw(st.integers(1, len(row) - 1))] = draw(cells)
         lines.append(",".join(row))
     text = "\n".join(lines) + "\n"
-    bom = draw(st.sampled_from([b"", b"\xef\xbb\xbf"]))
-    bad_byte = draw(st.sampled_from([b""] * 5 + [b"\xff"]))
-    return bom + text.encode("utf-8") + bad_byte
+    return draw(BOMS) + text.encode("utf-8") + draw(BAD_BYTES)
 
 
 def _main(argv):

@@ -257,6 +257,20 @@ class TestConsistency:
         messages = f.check_consistency(broken)
         assert any("globally constant" in msg for msg in messages)
 
+    def test_sub_constant_class_straddles_one(self):
+        report = f.classify_all(scaled_down_example())[0]
+        assert report.grs is GrsClass.SCRS and f.check_consistency(report) == []
+        # an unbounded decremental ratio with a matching left class: only the
+        # global class is off
+        broken = dataclasses.replace(
+            report,
+            sigma=dataclasses.replace(report.sigma, sigma_minus=UNBOUNDED),
+            one_sided=OneSidedRts(RightRts.IRS, LeftRts.IRS),
+        )
+        assert f.check_consistency(broken) == [
+            "globally sub-constant unit has ratios Fraction(5, 2)/inf not straddling 1"
+        ]
+
     def test_unbounded_decrement_counts_as_large(self, stair):
         # the smallest unit has no smaller peer; its left class must be IRS
         report = f.classify_all(stair)[0]
