@@ -38,8 +38,7 @@ from .model import Dataset, Delta, Numeric, Orientation, Tolerance, ratio_table
 from .model import validate_dataset
 from .oracle import OracleConfig, merge_checks, verify_dataset, verify_random
 from .response import build_response
-from .rts import InefficientUnit, RtsReport, _classify, _pooled, _projection
-from .rts import classify_all
+from .rts import RtsReport, _classify, _grown, _pooled, _projection
 from .scale import UNBOUNDED, _efficient_ratios
 from .technology import dominating_peer
 
@@ -272,19 +271,20 @@ def _header(d: Dataset, tol: Tolerance, projected: bool = False) -> dict:
 
 
 def _classified_units(d: Dataset, tol: Tolerance, project: bool):
-    """Per unit: (report-or-marker, projected flag).
+    """Per unit, off its table over the pool: (report-or-marker, projected flag).
 
-    With ``project`` a dominated unit is analysed again after projection;
-    when it is still dominated (input slack) its original marker stays.
+    With ``project`` a dominated unit is analysed again, on a table with its
+    grown outputs, only when projection makes it efficient; else its original
+    marker stays.
     """
     out = []
-    for item in classify_all(d, tol):
-        if project and isinstance(item, InefficientUnit):
-            grow = item.scores.phi[Delta.VRS].value
-            again = _classify(*_projection(d, item.reference, grow), tol)
-            out.append((again if isinstance(again, RtsReport) else item, True))
-        else:
-            out.append((item, False))
+    for rt, peers, w in _pooled(d, tol):
+        item, projected = _classify(rt, peers, w, tol), project and w is not None
+        if projected:
+            grown, _ = _grown(d, rt, peers, item.scores.phi[Delta.VRS].value)
+            if grown is not None:
+                item = _classify(_projection(d, rt.reference, grown), range(d.n), None, tol)
+        out.append((item, projected))
     return out
 
 
@@ -383,7 +383,9 @@ def build_ratios_document(
     w = dominating_peer(d, rt)
     projected = project and w is not None
     if projected:  # onto the frontier, by the unit's variable-returns output score
-        rt, _, w = _projection(d, o, _phis(rt, range(d.n))[Delta.VRS].value)
+        grown, w = _grown(d, rt, range(d.n), _phis(rt, range(d.n))[Delta.VRS].value)
+        if grown is not None:
+            rt = _projection(d, o, grown)
     ratios = _efficient_ratios(d, rt, w, tol)
     return {
         "header": _header(d, tol, projected),

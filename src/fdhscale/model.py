@@ -265,14 +265,17 @@ def ratio_table(d: Dataset, o: int) -> RatioTable:
 def _table(o: int, in_cols, out_cols, xo, yo) -> RatioTable:
     """Table of the columns ``in_cols``/``out_cols`` against the vectors ``xo``/``yo``.
 
-    One list of quotients per column, then the worst quotient of each row
-    across the lists, in column order.
+    The quotients of the first column, then each later column's quotients
+    folded in row by row: one replaces the row's worst only when strictly
+    worse, so a tie keeps the earlier column's, as ``max`` and ``min`` do.
     """
-    alpha = _worst(max, [list(map(truediv, c, repeat(r))) for c, r in zip(in_cols, xo)])
-    beta = _worst(min, [list(map(truediv, c, repeat(r))) for c, r in zip(out_cols, yo)])
-    return RatioTable(o, alpha, beta)
-
-
-def _worst(pick, cols: list[list[Numeric]]) -> tuple[Numeric, ...]:
-    # map(pick, col) would call pick on a single number, which is no iterable
-    return tuple(map(pick, *cols)) if len(cols) > 1 else tuple(cols[0])
+    ins, outs = zip(in_cols, xo), zip(out_cols, yo)
+    c, r = next(ins)
+    alpha = list(map(truediv, c, repeat(r)))
+    for c, r in ins:
+        alpha = [a if a >= b else b for a, b in zip(alpha, map(truediv, c, repeat(r)))]
+    c, r = next(outs)
+    beta = list(map(truediv, c, repeat(r)))
+    for c, r in outs:
+        beta = [a if a <= b else b for a, b in zip(beta, map(truediv, c, repeat(r)))]
+    return RatioTable(o, tuple(alpha), tuple(beta))

@@ -16,6 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cmp_to_key
+from itertools import compress, repeat
+from operator import eq
 from typing import Iterator, Mapping, Sequence, Union
 
 from .efficiency import EfficiencyScores, Score, _phis, _thetas
@@ -167,26 +170,49 @@ def _pooled(
         rt, peers = _table(o, ins, outs, *d.unit(o)), pool
         if w is None:  # one comparison per float bound: an exact entry converts it
             above = [a for a in rt.alpha if a > 1]
-            if above and min(above) <= floor or min(map(max, rt.alpha, rt.beta)) < _LOW:
+            low = min(rt.alpha) < _LOW and min(map(max, rt.alpha, rt.beta)) < _LOW
+            if above and min(above) <= floor or low:
                 rt, peers = ratio_table(d, o), range(d.n)
         yield rt, peers, w
 
 
-def _projection(
-    d: Dataset, o: int, grow: Numeric
-) -> tuple[RatioTable, Sequence[int], int | None]:
-    """Unit ``o`` with its outputs grown by ``grow``: its table, the units of the
-    table's rows, and the lowest-index unit that still dominates it, or None.
-
-    A dominated unit grows by its variable-returns output score, onto the
-    frontier. The table reads every unit, the unit's own row holding the grown
-    point, as a copy of the dataset with that row would give (docs/derivations.md,
-    "One pass per unit").
-    """
-    xo, yo = d.inputs[o], tuple(grow * v for v in d.outputs[o])
+def _projection(d: Dataset, o: int, yo: Sequence[Numeric]) -> RatioTable:
+    """The table of unit ``o`` with its outputs replaced by ``yo``, over every unit:
+    the table a copy of the dataset with that row would give (docs/derivations.md,
+    "One pass per unit")."""
     outs = [col[:o] + (v,) + col[o + 1 :] for col, v in zip(d.columns[d.m :], yo)]
-    rt = _table(o, d.columns[: d.m], outs, xo, yo)
-    return rt, range(d.n), dominating_peer(d, rt, yo)
+    return _table(o, d.columns[: d.m], outs, d.inputs[o], yo)
+
+
+def _grown(d: Dataset, rt: RatioTable, peers: Sequence[int], grow: Numeric) -> tuple:
+    """Whether the table's dominated unit reaches the frontier with its outputs grown
+    by its exact variable-returns output score phi*, which ``grow`` rounds: the grown
+    outputs and None if no unit dominates the grown point, else None and the first
+    unit of ``peers`` that does; row j of the table is unit ``peers[j]``.
+
+    A unit dominates the grown point when it fits (alpha <= 1), attains phi* and
+    differs from it. Rounding is monotone, so each row attaining phi* holds
+    ``grow``; only those rows are compared, exactly. A table over the pool decides
+    as one over every unit (docs/derivations.md, "Projection decided on the pool").
+    """
+    xo, yo = d.inputs[rt.reference], d.outputs[rt.reference]
+    tied = compress(range(len(rt.beta)), map(eq, rt.beta, repeat(grow)))
+    rows = [peers[j] for j in tied if rt.alpha[j] <= 1]
+    low = [min(map(_quotient, d.outputs[u], yo)) for u in rows]  # each row's exact beta
+    top = max(low)  # phi*
+    for u, b in zip(rows, low):
+        if b == top and (d.inputs[u] != xo or max(map(_quotient, d.outputs[u], yo)) != top):
+            return None, u
+    return d.outputs[rows[low.index(top)]], None
+
+
+# An exact quotient as an int pair (numerator, denominator), compared by cross-multiplying
+_Quotient = cmp_to_key(lambda p, q: p[0] * q[1] - q[0] * p[1])
+
+
+def _quotient(v: Numeric, w: Numeric):
+    (a, b), (c, e) = v.as_integer_ratio(), w.as_integer_ratio()
+    return _Quotient((a * e, b * c))
 
 
 # A dominated peer ties a unit dominating it, on a score or a scale ratio, only

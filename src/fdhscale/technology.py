@@ -87,7 +87,7 @@ def find_dominating(d: Dataset, delta: Delta, o: int) -> int | None:
     return None
 
 
-def dominating_peer(d: Dataset, rt: RatioTable, yo=None) -> int | None:
+def dominating_peer(d: Dataset, rt: RatioTable) -> int | None:
     """Lowest-index unit dominating the table's reference at fixed scale.
 
     Reads variable-returns dominance off the ratio table: unit j fits
@@ -95,11 +95,10 @@ def dominating_peer(d: Dataset, rt: RatioTable, yo=None) -> int | None:
     ``alpha[j] <= 1 <= beta[j]``, also in floats (docs/derivations.md,
     "One pass per unit"). As in :func:`find_dominating`, a unit whose data
     coincides with the reference's is no witness; the two agree on every
-    dataset. ``yo`` stands in for the reference's outputs, as for a unit
-    projected onto the frontier, whose own row is then no witness either.
+    dataset.
     """
     o = rt.reference
-    xo, yo = d.inputs[o], d.outputs[o] if yo is None else yo
+    xo, yo = d.inputs[o], d.outputs[o]
     for j, (a, b) in enumerate(zip(rt.alpha, rt.beta)):
         if a <= 1 <= b and j != o and (d.inputs[j] != xo or d.outputs[j] != yo):
             return j

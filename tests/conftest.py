@@ -24,13 +24,16 @@ def with_dominated(extra_name="E", x=(4,), y=(4,)) -> f.Dataset:
     )
 
 
-def projected_copy(d: f.Dataset, unit: f.InefficientUnit) -> f.Dataset:
-    """Copy of ``d`` with a dominated unit's outputs expanded by its variable-returns
-    output score: the dataset that ``--project`` analyses the unit in, built out."""
-    o, grow = unit.reference, unit.scores.phi[f.Delta.VRS].value
-    outputs = tuple(
-        tuple(grow * v for v in row) if k == o else row for k, row in enumerate(d.outputs)
-    )
+def projected_copy(d: f.Dataset, o: int) -> f.Dataset:
+    """Copy of ``d`` with unit ``o``'s outputs grown by its variable-returns output
+    score, exactly, then rounded to doubles on float data: the dataset that
+    ``--project`` analyses the unit in, built out. Where projection reaches the
+    frontier the grown point is some unit's data, so the rounding is exact."""
+    exact = d.as_exact()
+    grow = f.phi(exact, f.Delta.VRS, o).value
+    kind = F if d is exact else float
+    grown = tuple(kind(grow * v) for v in exact.outputs[o])
+    outputs = tuple(grown if k == o else row for k, row in enumerate(d.outputs))
     return f.Dataset(d.names, d.inputs, outputs)
 
 

@@ -266,6 +266,57 @@ class TestProjection:
         assert doc["projected"] is True
         assert doc["sigma_plus"] == 0 and doc["sigma_minus"] == 1.015384615385
 
+    def test_grown_output_rounding_past_the_witness_keeps_the_unit_dominated(self):
+        # A has every input below O's. O's output score 1.4/0.3 rounds to
+        # 4.666666666666667, and that times 0.3 rounds to 1.4000000000000001,
+        # past A's output, so a point grown by that product escapes A. Exactly,
+        # A attains the score and differs from the grown point, which it dominates.
+        d = f.validate_dataset(["A", "O"], [[1.0], [2.0]], [[1.4], [0.3]])
+        for data in (d, d.as_exact()):
+            for build in (f.build_classification_document, f.build_report_document):
+                rec = build(data, project=True)["units"][1]
+                assert (rec["projected"], rec["efficient"]) == (True, False)
+                assert rec["witnesses"]["dominating"] == "A"
+            with pytest.raises(f.InefficientUnitError, match="dominated by 'A'"):
+                f.build_ratios_document(data, "O", project=True)
+
+    def test_a_row_whose_ratio_rounds_onto_the_score_does_not_attain_it(self):
+        # P's and Q's output ratios against O round alike, to O's output score;
+        # exactly only Q's attains it. Q has O's input, so O grown by the score
+        # coincides with Q and is efficient, and P, below it, dominates nothing.
+        d = f.validate_dataset(
+            ["P", "O", "Q"], [[0.5], [1.0], [1.0]], [[7.8999999999999995], [7.6], [7.9]]
+        )
+        for data in (d, d.as_exact()):
+            rec = f.build_classification_document(data, project=True)["units"][1]
+            assert (rec["projected"], rec["efficient"]) == (True, True)
+            assert f.build_ratios_document(data, "O", project=True)["projected"] is True
+
+    def test_classify_builds_a_projected_table_only_for_units_reaching_the_frontier(
+        self, monkeypatch
+    ):
+        # grown by 13/5, E coincides with D and is efficient; grown by its score
+        # 1, F is still dominated by B; every other unit builds its pool table
+        d = f.validate_dataset(
+            ["A", "B", "C", "D", "E", "F"],
+            [[1.0], [3.0], [5.0], [6.0], [6.0], [4.0]],
+            [[2.0], [4.0], [5.0], [13.0], [5.0], [4.0]],
+        )
+        built, table = [], model._table
+
+        def counted(o, *args):
+            built.append(o)
+            return table(o, *args)
+
+        monkeypatch.setattr(model, "_table", counted)
+        monkeypatch.setattr(rts, "_table", counted)
+        units = f.build_classification_document(d, project=True)["units"]
+        assert [(rec["projected"], rec["efficient"]) for rec in units[4:]] == [
+            (True, True),
+            (True, False),
+        ]
+        assert built == [0, 1, 2, 3, 4, 4, 5]
+
     @pytest.mark.parametrize("name,tables", [("B", [1]), ("E", [4, 4])])
     def test_ratios_with_projection_build_each_table_once(
         self, monkeypatch, name, tables

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 import fdhscale as f
+from fdhscale import model
 
 from conftest import make_staircase
 
@@ -181,6 +182,30 @@ class TestRatioTable:
             assert t.alpha == tuple(max(a / b for a, b in zip(row, xo)) for row in d.inputs)
             assert t.beta == tuple(min(a / b for a, b in zip(row, yo)) for row in d.outputs)
             assert {type(v) for v in t.alpha + t.beta} == {F if exact else float}
+
+
+    @pytest.mark.parametrize("kind", ["float", "exact", "mixed"])
+    def test_folded_table_equals_a_per_row_max_and_min(self, kind):
+        # entries from a few values, so that two columns often give a row equal
+        # quotients; in the mixed table float and exact columns alternate, and
+        # the type of each entry shows which column's quotient a tie kept
+        rng = random.Random(f"fold:{kind}")
+        values = [F(1), F(2), F(3), F(1, 2), F(3, 2)]
+
+        def column(k, n):
+            exact = kind == "exact" or kind == "mixed" and k % 2
+            return tuple(v if exact else float(v) for v in rng.choices(values, k=n))
+
+        for m in range(1, 5):
+            for s in range(1, 5):
+                n = 12
+                cols = [column(k, n) for k in range(m + s)]
+                xo, yo = rng.choices([1, 2], k=m), rng.choices([1, 2], k=s)
+                t = model._table(0, cols[:m], cols[m:], xo, yo)
+                alpha = [max(c[j] / r for c, r in zip(cols[:m], xo)) for j in range(n)]
+                beta = [min(c[j] / r for c, r in zip(cols[m:], yo)) for j in range(n)]
+                assert [(type(v), v) for v in t.alpha] == [(type(v), v) for v in alpha]
+                assert [(type(v), v) for v in t.beta] == [(type(v), v) for v in beta]
 
 
 class TestEnumsAndTolerance:

@@ -36,7 +36,7 @@ from fdhscale import (
 from fdhscale import efficiency, io_cli, model, oracle
 from fdhscale.io_cli import _cell, _digest
 from fdhscale.oracle import _curve_runs
-from fdhscale.rts import _near, _pool, _projection
+from fdhscale.rts import _grown, _near, _pool, _pooled
 from fdhscale.technology import _dominator_sets, dominating_peer
 
 from conftest import fraction_pairs, int_pairs, projected_copy
@@ -289,27 +289,33 @@ def _efficiency_equals_radial(d):
 
 def _projection_equals_a_projected_copy(d):
     """``--project`` classifies a dominated unit, and gives its ratios, as
-    :func:`classify_unit` and :func:`scale_ratios` do on a projected copy."""
-    markers = {}  # classify_all's marker of each dominated unit it reached
+    :func:`classify_unit` and :func:`scale_ratios` do on a copy with the exact
+    grown point, when that point is efficient in exact arithmetic. Else the unit
+    keeps its marker, and ``ratios`` names the exact copy's lowest dominator."""
+    exact, want = d.as_exact(), []
+    for item in f.classify_all(d):
+        o = item.reference
+        if isinstance(item, f.InefficientUnit):
+            copy = projected_copy(exact, o)
+            reached = f.find_dominating(copy, Delta.VRS, o) is None
+            copy = projected_copy(d, o) if reached else copy
+            want.append((f.classify_unit(copy, o) if reached else item, True))
+            with mock.patch.object(io_cli, "_num", lambda v: v):  # compare unrounded
+                assert _outcome(_projected_ratios, d, o) == _outcome(_ratios_of, copy, o)
+        else:
+            want.append((item, False))
+    assert io_cli._classified_units(d, TOL, True) == want
 
-    def reference():
-        out = []
-        for item in f.classify_all(d):
-            if isinstance(item, f.InefficientUnit):
-                markers[item.reference] = item
-                again = f.classify_unit(projected_copy(d, item), item.reference)
-                out.append((again if isinstance(again, RtsReport) else item, True))
-            else:
-                out.append((item, False))
-        return out
 
-    assert io_cli._classified_units(d, TOL, True) == reference()
-    for o, above in enumerate(_dominator_sets(d)):
-        if above:  # some unit dominates o
-            item = markers.get(o) or f.classify_unit(d, o)
-            rt, _, w = _projection(d, o, item.scores.phi[Delta.VRS].value)
-            got = _outcome(io_cli._efficient_ratios, d, rt, w, TOL)
-            assert got == _outcome(f.scale_ratios, projected_copy(d, item), o)
+def _projected_ratios(d, o):
+    doc = io_cli.build_ratios_document(d, d.names[o], TOL, project=True)
+    return doc["sigma_plus"], doc["sigma_minus"], doc["witnesses"]
+
+
+def _ratios_of(d, o):
+    r = f.scale_ratios(d, o, TOL)
+    names = [None if j is None else d.names[j] for j in (r.plus_witness, r.minus_witness)]
+    return r.sigma_plus, r.sigma_minus, dict(zip(("sigma_plus", "sigma_minus"), names))
 
 
 @given(st.one_of(*TIE_DATA, eps_tie_datasets(), datasets()))
@@ -327,6 +333,68 @@ def test_efficiency_and_projection_equal_their_per_unit_references(d):
 def test_efficiency_and_projection_equal_their_references_on_larger_data(make):
     d = make()
     _efficiency_equals_radial(d)
+    _projection_equals_a_projected_copy(d)
+
+
+RAY_COPY_FACTORS = st.sampled_from([F(1, 2), F(1, 3), F(3, 10), F(7, 10)])
+
+
+def _multiple_of_30(v):
+    """``v`` moved down by under 30 units in the last place, to a significand
+    that 30 divides, so ``v`` times 1/2, 1/3, 3/10 or 7/10 is a double."""
+    m, e = math.frexp(v)
+    sig = int(m * 2**53)
+    return math.ldexp(sig - sig % 30, e - 53)
+
+
+@st.composite
+def ray_copy_datasets(draw):
+    """Float data from the strategies above, plus one to three units that copy a
+    unit's inputs and take its outputs times 1/2, 1/3, 3/10 or 7/10, rounded.
+    Mostly the unit's outputs are first moved to a multiple of 30 in their last
+    places, which makes the copy exactly proportional to it; else the product
+    rounds, and growing the copy back by its output score can round past the
+    unit. Shuffled."""
+    d = draw(
+        st.one_of(
+            *TIE_DATA[::2],
+            eps_tie_datasets(),
+            ray_tie_datasets(),
+            datasets().map(f.Dataset.as_float),
+        )
+    )
+    inputs, outputs = list(d.inputs), [list(y) for y in d.outputs]
+    for _ in range(draw(st.integers(1, 3))):
+        k, t = draw(st.integers(0, d.n - 1)), draw(RAY_COPY_FACTORS)
+        if not draw(one_in(4)):
+            outputs[k] = [_multiple_of_30(v) for v in outputs[k]]
+        inputs.append(inputs[k])
+        outputs.append([float(t * F(v)) for v in outputs[k]])
+    order = draw(st.permutations(range(len(inputs))))
+    return f.validate_dataset(
+        [f"U{i + 1}" for i in range(len(inputs))],
+        [inputs[k] for k in order],
+        [outputs[k] for k in order],
+    )
+
+
+@given(ray_copy_datasets())
+@settings(max_examples=200, deadline=None)
+def test_projection_is_decided_as_in_exact_arithmetic(d):
+    # the flags of every unit equal those of the same doubles read as exact,
+    # and each dominated unit's decision over the pool equals that over every unit
+    def flags(units):
+        return [(isinstance(item, RtsReport), flag) for item, flag in units]
+
+    exact = d.as_exact()
+    assert flags(io_cli._classified_units(d, TOL, True)) == flags(
+        io_cli._classified_units(exact, TOL, True)
+    )
+    for rt, peers, w in _pooled(d, TOL):
+        if w is not None:
+            grow = efficiency._phis(rt, peers)[Delta.VRS].value
+            full = f.ratio_table(d, rt.reference)
+            assert _grown(d, rt, peers, grow)[0] == _grown(d, full, range(d.n), grow)[0]
     _projection_equals_a_projected_copy(d)
 
 
@@ -1107,7 +1175,7 @@ def test_columns_are_the_rows_transposed(raw, d):
     ]
     for item in f.classify_all(d):
         if isinstance(item, f.InefficientUnit):
-            copies.append(projected_copy(d, item))
+            copies.append(projected_copy(d, item.reference))
     for c in copies:
         assert c.columns == _rows_transposed(c)
 

@@ -77,9 +77,9 @@ BUILDERS = {
 DIGESTS = {
     "dense": {
         "classify/False": "cf517c89425f25226b3bca4a3a476f0f9e5d4d762858c1d26f7df658e0d72d00",
-        "classify/True": "70329000c3e48c41e45957bc7634625fe1c6394a6483082086cc3522ecd4e2fd",
+        "classify/True": "e74610b1905ae5d5c565df51626b901b9f0115f0c01fba3139a59f3f6b09576a",
         "report/False": "95856b49a593b8ace2952a863ab4ff242bc85729ec6368260127091120e3ba57",
-        "report/True": "b78df49e6c5250a3f2557eb2ebc9914d33403490a1265cdc0ac7ead6f5d9608d",
+        "report/True": "5834a6b480c50472e394943c5695d9e51b2fb0c12da99b7c40b49c28b7ba62d8",
     },
     "dom-4-3-float": {
         "classify/False": "1eebd9eb10703262ec29a1ea3823386bc96efb79983f2b474f730a5b52eaaa91",
@@ -107,9 +107,9 @@ DIGESTS = {
     },
     "thin": {
         "classify/False": "d0235dbbe9650b53b4f413579a483a04754dd54b41702eaac188ff95e392d8e4",
-        "classify/True": "97c6eef9283c51b3dc4d14d257ffb9b0150ddfc8df47fc2c130e31f607514350",
+        "classify/True": "9cd2c05445b113c0cb44caea8c421714fbc6d399903e82ff225070d6fab63fab",
         "report/False": "685363348c3315ebe9f72965fa1416d87f750fa451afc60f6e0f6c1f6f41685c",
-        "report/True": "07906fbe689e2567096a1078f22d2d72b72e614e100f4117c14b7e6f2e4835fb",
+        "report/True": "aaf6ae71da7a31044a54b00e88adf6b7fa8223d48f7240f0d8f0cb2faa2e93b6",
     },
 }
 
