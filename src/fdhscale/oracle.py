@@ -16,9 +16,9 @@ from exact interval endpoints, never by sampling.
 The curve is evaluated by merging the ascending points against the peers
 sorted by input ratio, O(n log n) instead of a rescan of all n peers per
 point; the fast path's dict and bisection share no code with it.
-``verify_dataset`` builds each unit's pairs once, sorted by input ratio,
-reads every oracle value of the unit off them and drops them before the
-next unit's, so its memory grows with n, not n².
+``verify_dataset`` builds each unit's pairs once, reads every oracle value
+of the unit off them, sorted by input ratio once the dominator is read, and
+drops them before the next unit's, so its memory grows with n, not n².
 
 Results are exact relative to the stored values. Each entry is held as
 its ``(numerator, denominator)`` ints and each ratio as an unreduced pair
@@ -40,9 +40,9 @@ from typing import Callable, Iterable, Iterator
 
 from . import response, rts
 from .errors import InefficientUnitError, OutOfDomainError
-from .model import Dataset, Delta, Numeric, Tolerance, check_index, validate_dataset
+from .model import Dataset, Delta, Numeric, RatioTable, Tolerance, check_index
+from .model import validate_dataset
 from .scale import UNBOUNDED, RatioValue
-from .technology import find_dominating
 
 
 @dataclass(frozen=True)
@@ -86,14 +86,6 @@ _BY_VALUE = cmp_to_key(lambda p, q: p[0] * q[1] - q[0] * p[1])
 _BY_INPUT = cmp_to_key(lambda p, q: p[0][0] * q[0][1] - q[0][0] * p[0][1])
 
 
-def _require_efficient(d: Dataset, o: int) -> None:
-    w = find_dominating(d, Delta.VRS, o)
-    if w is not None:
-        raise InefficientUnitError(
-            f"unit {d.names[o]!r} is dominated by {d.names[w]!r}"
-        )
-
-
 def _columns(d: Dataset) -> _Columns:
     """Every entry as its exact ``(numerator, denominator)``, a column at a time:
     the input columns, then the output columns."""
@@ -129,6 +121,25 @@ def _unit_pairs(d: Dataset, o: int) -> _Pairs:
     """Unit ``o``'s pairs, for the entry points that take one unit."""
     check_index(d, o)
     return _exact_pairs(_columns(d), o)
+
+
+def _dominator(d: Dataset, pairs: _Pairs, o: int) -> int | None:
+    """The lowest j of ``o``'s pairs, in dataset order, with alpha_j <= 1 <= beta_j
+    whose data differs from ``o``'s (``o`` itself and its copies do not), or None."""
+    row = d.inputs[o], d.outputs[o]
+    for j, ((an, ad), (bn, bd)) in enumerate(pairs):
+        if an <= ad and bn >= bd and (d.inputs[j], d.outputs[j]) != row:
+            return j
+    return None
+
+
+def _swept(d: Dataset, o: int) -> tuple[Fraction, RatioValue]:
+    """Both scale ratios of unit ``o``, which no unit may dominate."""
+    pairs = _unit_pairs(d, o)
+    w = _dominator(d, pairs, o)
+    if w is not None:
+        raise InefficientUnitError(f"unit {d.names[o]!r} is dominated by {d.names[w]!r}")
+    return _ratios(pairs)
 
 
 def _theta_of(pairs: _Pairs, delta: Delta) -> Fraction:
@@ -268,8 +279,7 @@ def oracle_sigma_plus(
 
     ``cfg`` is unused: no grid is walked, but ``perfbench/checker.py`` passes one.
     """
-    _require_efficient(d, o)
-    return _ratios(_unit_pairs(d, o))[0]
+    return _swept(d, o)[0]
 
 
 def oracle_sigma_minus(
@@ -279,8 +289,7 @@ def oracle_sigma_minus(
 
     ``cfg`` is unused: no grid is walked, but ``perfbench/checker.py`` passes one.
     """
-    _require_efficient(d, o)
-    return _ratios(_unit_pairs(d, o))[1]
+    return _swept(d, o)[1]
 
 
 def _feasible(pairs: _Pairs, system: ScalingSystem) -> bool:
@@ -384,10 +393,7 @@ def _fits(
 
 
 def _score_failures(
-    d: Dataset,
-    cols: _Columns,
-    item: rts.RtsReport | rts.InefficientUnit,
-    lowest: int | None,
+    d: Dataset, cols: _Columns, item: rts.Item, lowest: int | None
 ) -> Iterator[str]:
     """Bounds, regime nesting and witness feasibility of one unit's scores, and
     a dominated unit's witness against ``lowest``, the oracle's lowest-index one."""
@@ -423,13 +429,14 @@ def _score_failures(
         yield f"{d.names[o]} is dominated by {d.names[lowest]}, not {d.names[item.witness]}"
 
 
-def _curve_check(d: Dataset, o: int, pairs: _Pairs) -> tuple[str | None, int]:
-    """Unit ``o``'s response check, against its pairs sorted by input ratio.
+def _curve_check(d: Dataset, rt: RatioTable, pairs: _Pairs) -> tuple[str | None, int]:
+    """The response check of the table's unit, on the steps read off the table,
+    against its pairs sorted by input ratio.
 
     Returns the first disagreement or ``None``, and the number of points
     compared up to it.
     """
-    r = response.build_response(d, o)
+    o, r = rt.reference, response.response_from_table(rt)
     thresholds = [t for t, _ in r.steps]
     values = [v for _, v in r.steps]
     start = Fraction(*pairs[0][0])
@@ -461,26 +468,26 @@ def verify_dataset(
 ) -> list[CheckResult]:
     """Run the full cross-check battery on one dataset, in exact arithmetic.
 
-    The fast side is what a report prints: one :func:`classify_all` (scores,
-    scale-size flags, ratios, classes, dominance and its witnesses) plus each
-    unit's response function. Per unit, the oracle finds the lowest dominator
-    and reads every other value off the unit's pairs, in one pass per unit: the
-    scores per regime, one curve walk, both ratios at the pairs' own thresholds,
-    the scaling systems and the implication facts. The checks then compare with
-    zero tolerance. Returns one result per named check.
-    ``cfg`` is accepted, not read.
+    The fast side is what a report prints, streamed one unit at a time by
+    :func:`rts.classified` (scores, scale-size flags, ratios, classes,
+    dominance and its witnesses), plus each unit's response function, read
+    off the same table over the pool. Per unit, the oracle reads every value
+    off the unit's own pairs: the lowest dominator, the scores per regime, one
+    curve walk, both ratios at the pairs' own thresholds, the scaling systems
+    and the implication facts. The checks then compare with zero tolerance.
+    Returns one result per named check. ``cfg`` is accepted, not read.
     """
     d = d.as_exact()
     cols = _columns(d)
-    lowest = [find_dominating(d, Delta.VRS, o) for o in range(d.n)]
-    efficient = lowest.count(None)
-    items = rts.classify_all(d, tol)
     scores, bounds, flags, curves, marked, plus, minus, systems, thresholds, implied = (
         [] for _ in range(10)
     )
-    points = 0
-    for o, (item, w) in enumerate(zip(items, lowest)):  # one unit's pairs at a time
-        name, pairs = d.names[o], sorted(_exact_pairs(cols, o), key=_BY_INPUT)
+    points = efficient = 0
+    for o, (item, rt) in enumerate(rts.classified(d, tol)):  # one table, one pairs list
+        name, pairs = d.names[o], _exact_pairs(cols, o)
+        w = _dominator(d, pairs, o)
+        efficient += w is None
+        pairs.sort(key=_BY_INPUT)
         theta = {reg: _theta_of(pairs, reg) for reg in Delta}
         phi = {reg: _phi_of(pairs, reg) for reg in Delta}
         for reg in Delta:
@@ -493,7 +500,7 @@ def verify_dataset(
         bounds += _score_failures(d, cols, item, w)
         if item.mpss != (theta[Delta.CRS] == 1):
             flags.append(f"scale-size flag mismatch at {name}")
-        bad, count = _curve_check(d, o, pairs)
+        bad, count = _curve_check(d, rt, pairs)
         points += count
         if bad:
             curves.append(bad)

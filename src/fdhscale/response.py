@@ -16,7 +16,7 @@ from enum import Enum
 from operator import itemgetter
 
 from .errors import InefficientUnitError, OutOfDomainError
-from .model import Dataset, Numeric, ratio_table
+from .model import Dataset, Numeric, RatioTable, ratio_table
 
 
 class StepDerivative(Enum):
@@ -56,7 +56,12 @@ class ResponseFunction:
 
 def build_response(d: Dataset, o: int) -> ResponseFunction:
     """Response function of unit ``o``; defined for any unit."""
-    rt = ratio_table(d, o)
+    return response_from_table(ratio_table(d, o))
+
+
+def response_from_table(rt: RatioTable) -> ResponseFunction:
+    """Response function of the table's reference, off any table that holds every
+    efficient unit's row (docs/derivations.md, "Response steps off the pool table")."""
     best_at: dict[Numeric, Numeric] = {}
     for a, b in zip(rt.alpha, rt.beta):
         if a not in best_at or b > best_at[a]:
@@ -66,7 +71,7 @@ def build_response(d: Dataset, o: int) -> ResponseFunction:
         v = best_at[a]
         if not steps or v > steps[-1][1]:
             steps.append((a, v))
-    return ResponseFunction(reference=o, steps=tuple(steps))
+    return ResponseFunction(reference=rt.reference, steps=tuple(steps))
 
 
 def one_sided_step_derivatives(

@@ -4,12 +4,13 @@
 scores, the scale-size flag and, for an efficient unit, both scale ratios
 and the classes; ``classify_all`` does so for every unit, deciding who
 dominates whom once, from each unit's dominator set, and reading each unit
-off a table over the frontier pool. Right and left classes
-describe the frontier just above and below the observed scale, each read
-off its scale ratio by one rule: above 1 + eps, below 1 - eps, or between.
-The global class compares the constant-returns score with the one-sided
-regimes' scores. ``check_consistency`` checks a report's stored ratios and
-the implications of its global class by the same rule, without recomputing.
+off a table over the frontier pool, which ``classified`` yields too. Right
+and left classes describe the frontier just above and below the observed
+scale, each read off its scale ratio by one rule: above 1 + eps, below
+1 - eps, or between. The global class compares the constant-returns score
+with the one-sided regimes' scores. ``check_consistency`` checks a report's
+stored ratios and the implications of its global class by the same rule,
+without recomputing.
 """
 
 from __future__ import annotations
@@ -103,9 +104,10 @@ class InefficientUnit:
     mpss: bool
 
 
-def classify_unit(
-    d: Dataset, o: int, tol: Tolerance = Tolerance()
-) -> Union[RtsReport, InefficientUnit]:
+Item = Union[RtsReport, InefficientUnit]  # a unit's report, or its marker if dominated
+
+
+def classify_unit(d: Dataset, o: int, tol: Tolerance = Tolerance()) -> Item:
     """Every quantity of unit ``o`` from one ratio table.
 
     Scores and the scale-size flag are computed for every unit. An
@@ -117,9 +119,7 @@ def classify_unit(
     return _classify(rt, range(d.n), dominating_peer(d, rt), tol)
 
 
-def _classify(
-    rt: RatioTable, peers: Sequence[int], w: int | None, tol: Tolerance
-) -> Union[RtsReport, InefficientUnit]:
+def _classify(rt: RatioTable, peers: Sequence[int], w: int | None, tol: Tolerance) -> Item:
     """The marker of a unit that ``w`` dominates, or, if ``w`` is None, its report;
     row j of the table is unit ``peers[j]``."""
     o = rt.reference
@@ -141,12 +141,19 @@ def _classify(
     )
 
 
-def classify_all(
-    d: Dataset, tol: Tolerance = Tolerance()
-) -> list[Union[RtsReport, InefficientUnit]]:
+def classify_all(d: Dataset, tol: Tolerance = Tolerance()) -> list[Item]:
     """Classify every unit, in dataset order, exactly as :func:`classify_unit` does,
-    each off its table over the pool (:func:`_pooled`)."""
-    return [_classify(rt, peers, w, tol) for rt, peers, w in _pooled(d, tol)]
+    each off its table over the pool (:func:`classified`)."""
+    return [item for item, _ in classified(d, tol)]
+
+
+def classified(
+    d: Dataset, tol: Tolerance = Tolerance()
+) -> Iterator[tuple[Item, RatioTable]]:
+    """Per unit, in dataset order: its item of :func:`classify_all` and the table it
+    was read off (:func:`_pooled`), which holds every efficient unit's row."""
+    for rt, peers, w in _pooled(d, tol):
+        yield _classify(rt, peers, w, tol), rt
 
 
 def _pooled(

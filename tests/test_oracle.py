@@ -331,19 +331,19 @@ def _nudge_d_beta_of_a(pairs):
 
 
 def _replace_fields(unit, **changes):
-    """Wrap ``rts.classify_all`` to change the named fields of ``unit``'s record."""
+    """Wrap ``rts.classified`` to change the named fields of ``unit``'s record."""
 
     def plant(monkeypatch):
-        right = rts.classify_all
+        right = rts.classified
 
         def faulty(d, tol):
-            items = right(d, tol)
-            item = items[unit]
-            new = {key: change(getattr(item, key)) for key, change in changes.items()}
-            items[unit] = dataclasses.replace(item, **new)
-            return items
+            for item, rt in right(d, tol):
+                if item.reference == unit:
+                    new = {key: fix(getattr(item, key)) for key, fix in changes.items()}
+                    item = dataclasses.replace(item, **new)
+                yield item, rt
 
-        monkeypatch.setattr(rts, "classify_all", faulty)
+        monkeypatch.setattr(rts, "classified", faulty)
 
     return plant
 
@@ -396,7 +396,7 @@ FAULT_DIGESTS = {
     "dropped-first-step": (3, "9dd12aeb57b5dad38924a6637f689ad0cf3ca3c5325982ad44cdd08f0d289c7b"),
     "step-below-domain": (3, "84346ed4a11d2ee56e6d2f26bcdd931dcc22dc151dc4cf219b32d166d4554eba"),
     "changed-step-value": (3, "c30144fc5cb55691c408822cc170fe536b8d946c9b9b74d6455e4b0e6d6c93c4"),
-    "_table": (3, "dc7e11c504bb28565629fea65c40272af560a7dfcd1db10c95f1fc9863027d24"),
+    "_table": (3, "bbbed23662409660c6e9a22bc5b329114d96db12fa3a025e8eb37d98b9737670"),
     "_exact_pairs": (3, "8eb0de639105ebd7939b94a9df43f45b6383a1be45a83a6cfe4e3fab95f94789"),
     # on the CSV of with_dominated() instead
     "dominated-reported-efficient": (
@@ -404,6 +404,8 @@ FAULT_DIGESTS = {
         "3b40954d2c0a2ba1a4f7b87de06ee27b917522b55334f9302e3fbbcac1fe6dbb",
     ),
     "self-witness": (3, "cb8a6f11b6bb1dcbf9620ffc99e42dd66e613343ea85f23652390c842d20113e"),
+    # on the CSV of with_dominated() plus F, a copy of B
+    "copy-dominates": (3, "270da78e68752cb2e58ac386bc6c8caf720294fd44f875f1cacdea46d250dd83"),
 }
 
 
@@ -425,29 +427,41 @@ class TestPlantedFaults:
     reach verify through the same values a report prints. This guards the
     oracle side of every comparison: a check that compared a value with
     itself would keep passing here. Record faults change fields of one
-    ``classify_all`` record, for the checks no closed-form nudge reaches.
+    ``rts.classified`` record, for the checks no closed-form nudge reaches.
     """
 
     @pytest.mark.parametrize(
-        "module,attr,nudge,check",
+        "fault,module,attr,nudge,check",
         [
-            (scale, "_sigma_plus", _nudge_sigma, "max-incremental-ratio-matches-sweep"),
-            (scale, "_sigma_minus", _nudge_sigma, "min-decremental-ratio-matches-sweep"),
-            (response, "build_response", _nudge_last_step, "response-curve-matches-sweep"),
-            # one fault on each side of the per-unit ratio table
-            (rts, "_table", _nudge_d_alpha_of_a, "radial-scores-match-enumeration"),
-            (oracle, "_exact_pairs", _nudge_d_beta_of_a, "radial-scores-match-enumeration"),
+            (attr, module, attr, nudge, check)
+            for module, attr, nudge, check in (
+                (scale, "_sigma_plus", _nudge_sigma, "max-incremental-ratio-matches-sweep"),
+                (scale, "_sigma_minus", _nudge_sigma, "min-decremental-ratio-matches-sweep"),
+                # one fault on each side of the per-unit ratio table
+                (rts, "_table", _nudge_d_alpha_of_a, "radial-scores-match-enumeration"),
+                (oracle, "_exact_pairs", _nudge_d_beta_of_a, "radial-scores-match-enumeration"),
+            )
+        ]
+        # keyed by build_response, whose steps, as verify's, the nudge reaches
+        + [
+            (
+                "build_response",
+                response,
+                "response_from_table",
+                _nudge_last_step,
+                "response-curve-matches-sweep",
+            )
         ],
     )
     def test_check_fails_and_cli_exits_3(
-        self, capsys, monkeypatch, stair_csv, module, attr, nudge, check
+        self, capsys, monkeypatch, stair_csv, fault, module, attr, nudge, check
     ):
         right = getattr(module, attr)
         monkeypatch.setattr(module, attr, lambda *args: nudge(right(*args)))
         code, out, status = _verify_csv(capsys, stair_csv)
         assert status[check][0] == "FAIL"
         assert status["overall"] == ["FAIL"] and code == 3
-        assert _digest(code, out) == FAULT_DIGESTS[attr]
+        assert _digest(code, out) == FAULT_DIGESTS[fault]
 
     @pytest.mark.parametrize(
         "fault,attr,plant",
@@ -529,6 +543,34 @@ class TestPlantedFaults:
         assert status[check] == ["FAIL", detail] and code == 3
         assert _digest(code, out) == FAULT_DIGESTS[fault]
 
+    def test_oracle_counting_a_copy_as_dominator_fails_the_ratio_check(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        # F copies B, so neither dominates the other and both are efficient; the
+        # fault passes over only the unit itself, and B's copy then dominates B
+        d = with_dominated()
+        d = f.validate_dataset(
+            [*d.names, "F"], [*d.inputs, d.inputs[1]], [*d.outputs, d.outputs[1]]
+        )
+        path = tmp_path / "copied.csv"
+        f.write_csv(d, path)
+        assert _verify_csv(capsys, path)[0] == 0
+
+        def copy_dominates(d, pairs, o):
+            for j, ((an, ad), (bn, bd)) in enumerate(pairs):
+                if an <= ad and bn >= bd and j != o:
+                    return j
+            return None
+
+        monkeypatch.setattr(oracle, "_dominator", copy_dominates)
+        code, out, status = _verify_csv(capsys, path)
+        assert status["max-incremental-ratio-matches-sweep"] == [
+            "FAIL",
+            "B is dominated but the fast path reports it efficient",
+        ]
+        assert status["overall"] == ["FAIL"] and code == 3
+        assert _digest(code, out) == FAULT_DIGESTS["copy-dominates"]
+
     @pytest.mark.parametrize(
         "fault,change",
         [
@@ -550,9 +592,9 @@ class TestPlantedFaults:
     ):
         # the ratio checks read their oracle values at the pairs' own
         # thresholds, so a wrong step list must not move them
-        right = response.build_response
+        right = response.response_from_table
         monkeypatch.setattr(
-            response, "build_response", lambda d, o: _d_steps(change)(right(d, o))
+            response, "response_from_table", lambda rt: _d_steps(change)(right(rt))
         )
         code, out, status = _verify_csv(capsys, stair_csv)
         assert status["response-curve-matches-sweep"][0] == "FAIL"

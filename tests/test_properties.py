@@ -33,9 +33,9 @@ from fdhscale import (
     Tolerance,
     ValueSpreadError,
 )
-from fdhscale import efficiency, io_cli, model, oracle
+from fdhscale import efficiency, io_cli, model, oracle, response
 from fdhscale.io_cli import _cell, _digest
-from fdhscale.oracle import _curve_runs
+from fdhscale.oracle import _curve_runs, _dominator, _unit_pairs
 from fdhscale.rts import _grown, _near, _pool, _pooled
 from fdhscale.technology import _dominator_sets, dominating_peer
 
@@ -396,6 +396,59 @@ def test_projection_is_decided_as_in_exact_arithmetic(d):
             full = f.ratio_table(d, rt.reference)
             assert _grown(d, rt, peers, grow)[0] == _grown(d, full, range(d.n), grow)[0]
     _projection_equals_a_projected_copy(d)
+
+
+def _steps_off_the_pool(d):
+    """Every unit's steps off its table over the pool equal those of
+    ``build_response`` over every unit; returns how many tables were full."""
+    full = 0
+    for rt, peers, _ in _pooled(d, TOL):
+        assert response.response_from_table(rt) == f.build_response(d, rt.reference)
+        full += len(peers) == d.n
+    return full
+
+
+FLOAT_OR_EXACT = (datasets(), datasets().map(f.Dataset.as_float))
+
+
+@given(st.one_of(*TIE_DATA, eps_tie_datasets(), ray_copy_datasets(), *FLOAT_OR_EXACT))
+@settings(max_examples=300, deadline=None)
+def test_response_steps_off_the_pool_equal_build_response(d):
+    _steps_off_the_pool(d)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        # an input ratio in the eps band above 1, and a pool row below _LOW
+        ([[1.0], [1 + 5e-10], [2.0]], [[1.0], [2.0], [1.5]]),
+        ([[1e-6 * (1 + 1e-11)], [1e-6], [1.0]], [[1e-6 * (1 - 1e-11)], [1e-6], [1.0]]),
+    ],
+    ids=["eps-band", "low"],
+)
+def test_response_steps_off_a_full_fallback_table_equal_build_response(rows):
+    # each dataset leaves a dominated unit out of the pool, and one efficient
+    # unit's guard gives it the full table
+    d = f.validate_dataset(["U1", "U2", "U3"], *rows)
+    assert len(_pool(d, _dominator_sets(d))) == 2
+    assert _steps_off_the_pool(d) == 1
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: _generated_floats(11, 300), lambda: oracle.random_dataset(7, 150, 2, 2)],
+    ids=["float-300", "exact-150"],
+)
+def test_response_steps_off_the_pool_equal_build_response_on_larger_data(make):
+    _steps_off_the_pool(make())
+
+
+@given(st.one_of(*TIE_DATA, *FLOAT_OR_EXACT))
+@settings(max_examples=300, deadline=None)
+def test_oracle_dominator_off_its_pairs_equals_find_dominating(d):
+    # duplicate rows included: near_tie and tie_heavy data copy rows exactly
+    for o in range(d.n):
+        assert _dominator(d, _unit_pairs(d, o), o) == f.find_dominating(d, Delta.VRS, o)
 
 
 def _four_pattern_grs(theta, mpss, tol):
