@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import ge, le, not_, truediv
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .model import Dataset, Delta, Numeric, Orientation, RatioTable, ratio_table
 
@@ -33,11 +33,11 @@ def theta(d: Dataset, delta: Delta, o: int) -> Score:
 
     Always in (0, 1]; the unit itself guarantees feasibility.
     """
-    return _thetas(ratio_table(d, o), range(d.n))[delta]
+    return _thetas(ratio_table(d, o))[delta]
 
 
-def _thetas(rt: RatioTable, peers: Sequence[int]) -> dict[Delta, Score]:
-    vrs, nirs, ndrs, crs = _side(min, rt.alpha, rt.beta, ge, peers)
+def _thetas(rt: RatioTable) -> dict[Delta, Score]:
+    vrs, nirs, ndrs, crs = _side(min, rt.alpha, rt.beta, ge, rt.units)
     return {Delta.VRS: vrs, Delta.CRS: crs, Delta.NIRS: nirs, Delta.NDRS: ndrs}
 
 
@@ -46,11 +46,11 @@ def phi(d: Dataset, delta: Delta, o: int) -> Score:
 
     Always finite and >= 1.
     """
-    return _phis(ratio_table(d, o), range(d.n))[delta]
+    return _phis(ratio_table(d, o))[delta]
 
 
-def _phis(rt: RatioTable, peers: Sequence[int]) -> dict[Delta, Score]:
-    vrs, ndrs, nirs, crs = _side(max, rt.beta, rt.alpha, le, peers)
+def _phis(rt: RatioTable) -> dict[Delta, Score]:
+    vrs, ndrs, nirs, crs = _side(max, rt.beta, rt.alpha, le, rt.units)
     return {Delta.VRS: vrs, Delta.CRS: crs, Delta.NIRS: nirs, Delta.NDRS: ndrs}
 
 
@@ -68,10 +68,10 @@ class EfficiencyScores:
     phi: Mapping[Delta, Score]
 
 
-def _side(pick, own, scale, fits, peers) -> tuple[Score, Score, Score, Score]:
-    """Scores at factor 1, scaled, combined and at any factor; witnesses from ``peers``.
+def _side(pick, own, scale, fits, units) -> tuple[Score, Score, Score, Score]:
+    """Scores at factor 1, scaled, combined and at any factor; row j is ``units[j]``.
 
-    Peer j's candidates are ``own[j]`` at factor 1 and ``own[j] / scale[j]``
+    Row j's candidates are ``own[j]`` at factor 1 and ``own[j] / scale[j]``
     at the factor where it just fits; it fits at 1 when ``fits(scale[j], 1)``.
     Each score is the first extreme of its candidates: the lowest row on a tie.
     """
@@ -83,13 +83,13 @@ def _side(pick, own, scale, fits, peers) -> tuple[Score, Score, Score, Score]:
     kept = list(compress(ratio, inside))
     j = rows[kept.index(pick(kept))]
     k = ratio.index(pick(ratio))
-    combined = fixed = Score(own[f], peers[f], 1)
+    combined = fixed = Score(own[f], units[f], 1)
     if len(rows) < len(inside):
         v = pick(compress(ratio, map(not_, inside)))
         m = ratio.index(v)
         while inside[m]:  # an earlier row that fits may share the value
             m = ratio.index(v, m + 1)
         if pick(own[f], v) != own[f] or v == own[f] and m < f:
-            combined = Score(v, peers[m], 1 / scale[m])
-    scaled = Score(ratio[j], peers[j], 1 / scale[j])
-    return fixed, scaled, combined, Score(ratio[k], peers[k], 1 / scale[k])
+            combined = Score(v, units[m], 1 / scale[m])
+    scaled = Score(ratio[j], units[j], 1 / scale[j])
+    return fixed, scaled, combined, Score(ratio[k], units[k], 1 / scale[k])

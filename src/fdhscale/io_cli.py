@@ -38,7 +38,7 @@ from .model import Dataset, Delta, Numeric, Orientation, Tolerance, ratio_table
 from .model import validate_dataset
 from .oracle import OracleConfig, merge_checks, verify_dataset, verify_random
 from .response import build_response
-from .rts import RtsReport, _classify, _grown, _pooled, _projection
+from .rts import RtsReport, _classify, _pooled, _project, classified
 from .scale import UNBOUNDED, _efficient_ratios
 from .technology import dominating_peer
 
@@ -278,12 +278,12 @@ def _classified_units(d: Dataset, tol: Tolerance, project: bool):
     marker stays.
     """
     out = []
-    for rt, peers, w in _pooled(d, tol):
-        item, projected = _classify(rt, peers, w, tol), project and w is not None
+    for item, rt in classified(d, tol):
+        projected = project and not isinstance(item, RtsReport)
         if projected:
-            grown, _ = _grown(d, rt, peers, item.scores.phi[Delta.VRS].value)
-            if grown is not None:
-                item = _classify(_projection(d, rt.reference, grown), range(d.n), None, tol)
+            rt, w = _project(d, rt, item.scores.phi[Delta.VRS].value)
+            if w is None:
+                item = _classify(rt, None, tol)
         out.append((item, projected))
     return out
 
@@ -357,8 +357,8 @@ def build_efficiency_document(
     """Every unit's score, read off its table over the pool, as ``radial`` gives it."""
     side = _thetas if orientation is Orientation.INPUT else _phis
     scores = []
-    for rt, peers, _ in _pooled(d, tol):
-        sc = side(rt, peers)[delta]
+    for rt, _ in _pooled(d, tol):
+        sc = side(rt)[delta]
         scores.append(
             {
                 "name": d.names[rt.reference],
@@ -383,9 +383,7 @@ def build_ratios_document(
     w = dominating_peer(d, rt)
     projected = project and w is not None
     if projected:  # onto the frontier, by the unit's variable-returns output score
-        grown, w = _grown(d, rt, range(d.n), _phis(rt, range(d.n))[Delta.VRS].value)
-        if grown is not None:
-            rt = _projection(d, o, grown)
+        rt, w = _project(d, rt, _phis(rt)[Delta.VRS].value)
     ratios = _efficient_ratios(d, rt, w, tol)
     return {
         "header": _header(d, tol, projected),

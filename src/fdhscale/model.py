@@ -1,11 +1,12 @@
 """Validated production datasets and per-unit ratio tables.
 
 Everything downstream reduces to two vectors per reference unit: for each
-peer j, the worst input ratio ``alpha[j]`` (how much every input of the
-reference must be inflated before j's inputs fit inside) and the worst
-output ratio ``beta[j]`` (how far every output of the reference can be
-inflated while staying below j's outputs). This module owns the dataset
-container, the scaling-regime and tolerance types, and the ratio table.
+row j, the worst input ratio ``alpha[j]`` (how much every input of the
+reference must be inflated before the row unit's inputs fit inside) and the
+worst output ratio ``beta[j]`` (how far every output of the reference can be
+inflated while staying below its outputs); the table names each row's unit.
+This module owns the dataset container, the scaling-regime and tolerance
+types, and the ratio table.
 
 Arithmetic is duck-typed. Datasets may hold floats (the default) or
 ``fractions.Fraction`` entries (exact mode); every operation in the
@@ -244,26 +245,27 @@ def validate_dataset(
 
 @dataclass(frozen=True)
 class RatioTable:
-    """Worst input and output ratios of every unit against one reference.
+    """Worst input and output ratios of some units against one reference.
 
-    ``alpha[j]`` is the max over input dimensions of ``x[j]/x[o]``,
-    ``beta[j]`` the min over output dimensions of ``y[j]/y[o]``. Both are 1
-    at the reference itself.
+    Row j is unit ``units[j]``, in ascending order: every unit for
+    :func:`ratio_table`. ``alpha[j]`` is the max over input dimensions of
+    ``x[u]/x[o]``, ``beta[j]`` the min over output dimensions of ``y[u]/y[o]``,
+    for ``u = units[j]``. Both are 1 at the reference itself.
     """
 
     reference: int
+    units: Sequence[int]
     alpha: tuple[Numeric, ...]
     beta: tuple[Numeric, ...]
 
 
 def ratio_table(d: Dataset, o: int) -> RatioTable:
-    """Ratio table of dataset ``d`` against reference unit ``o``."""
-    check_index(d, o)
-    return _table(o, d.columns[: d.m], d.columns[d.m :], d.inputs[o], d.outputs[o])
+    """Ratio table of dataset ``d`` against reference unit ``o``, over every unit."""
+    return _table(o, range(d.n), d.columns[: d.m], d.columns[d.m :], *d.unit(o))
 
 
-def _table(o: int, in_cols, out_cols, xo, yo) -> RatioTable:
-    """Table of the columns ``in_cols``/``out_cols`` against the vectors ``xo``/``yo``.
+def _table(o: int, units: Sequence[int], in_cols, out_cols, xo, yo) -> RatioTable:
+    """Table over ``units`` of the columns ``in_cols``/``out_cols`` against ``xo``/``yo``.
 
     The quotients of the first column, then each later column's quotients
     folded in row by row: one replaces the row's worst only when strictly
@@ -278,4 +280,4 @@ def _table(o: int, in_cols, out_cols, xo, yo) -> RatioTable:
     beta = list(map(truediv, c, repeat(r)))
     for c, r in outs:
         beta = [a if a <= b else b for a, b in zip(beta, map(truediv, c, repeat(r)))]
-    return RatioTable(o, tuple(alpha), tuple(beta))
+    return RatioTable(o, units, tuple(alpha), tuple(beta))

@@ -20,7 +20,7 @@ from enum import Enum
 from functools import cmp_to_key
 from itertools import compress, repeat
 from operator import eq
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Iterator, Mapping, Union
 
 from .efficiency import EfficiencyScores, Score, _phis, _thetas
 from .model import Dataset, Delta, Numeric, RatioTable, Tolerance, _table, ratio_table
@@ -116,18 +116,17 @@ def classify_unit(d: Dataset, o: int, tol: Tolerance = Tolerance()) -> Item:
     that dominates it.
     """
     rt = ratio_table(d, o)
-    return _classify(rt, range(d.n), dominating_peer(d, rt), tol)
+    return _classify(rt, dominating_peer(d, rt), tol)
 
 
-def _classify(rt: RatioTable, peers: Sequence[int], w: int | None, tol: Tolerance) -> Item:
-    """The marker of a unit that ``w`` dominates, or, if ``w`` is None, its report;
-    row j of the table is unit ``peers[j]``."""
+def _classify(rt: RatioTable, w: int | None, tol: Tolerance) -> Item:
+    """The marker of a unit that ``w`` dominates, or, if ``w`` is None, its report."""
     o = rt.reference
-    scores = EfficiencyScores(o, _thetas(rt, peers), _phis(rt, peers))
+    scores = EfficiencyScores(o, _thetas(rt), _phis(rt))
     mpss = abs(scores.theta[Delta.CRS].value - 1) <= tol.eps
     if w is not None:
         return InefficientUnit(o, scores.theta[Delta.VRS].value, w, scores, mpss)
-    sigma = _scale_ratios(rt, tol, peers)
+    sigma = _scale_ratios(rt, tol)
     return RtsReport(
         reference=o,
         one_sided=OneSidedRts(
@@ -152,15 +151,13 @@ def classified(
 ) -> Iterator[tuple[Item, RatioTable]]:
     """Per unit, in dataset order: its item of :func:`classify_all` and the table it
     was read off (:func:`_pooled`), which holds every efficient unit's row."""
-    for rt, peers, w in _pooled(d, tol):
-        yield _classify(rt, peers, w, tol), rt
+    for rt, w in _pooled(d, tol):
+        yield _classify(rt, w, tol), rt
 
 
-def _pooled(
-    d: Dataset, tol: Tolerance
-) -> Iterator[tuple[RatioTable, Sequence[int], int | None]]:
-    """Per unit, in dataset order: its table, the units of the table's rows, and
-    its lowest-index dominator (None for an efficient unit).
+def _pooled(d: Dataset, tol: Tolerance) -> Iterator[tuple[RatioTable, int | None]]:
+    """Per unit, in dataset order: its table and its lowest-index dominator (None
+    for an efficient unit).
 
     Frontier first (docs/derivations.md): the table reads only the pool. An
     efficient unit's table reads every unit instead when a pool row could hide
@@ -168,49 +165,45 @@ def _pooled(
     ratios below ``_LOW``.
     """
     dom = _dominator_sets(d)
-    pool = _pool(d, dom)
+    pool = tuple(_pool(d, dom))  # a tuple keeps each table hashable
     lowest = [next(_units(above), None) for above in dom]  # each unit's witness
     del dom  # the sets take n bits per unit; only the witnesses are needed now
     cols = [[col[j] for j in pool] for col in d.columns]  # the pool's columns
     ins, outs, floor = cols[: d.m], cols[d.m :], 1 + tol.eps
     for o, w in enumerate(lowest):
-        rt, peers = _table(o, ins, outs, *d.unit(o)), pool
+        rt = _table(o, pool, ins, outs, *d.unit(o))
         if w is None:  # one comparison per float bound: an exact entry converts it
             above = [a for a in rt.alpha if a > 1]
             low = min(rt.alpha) < _LOW and min(map(max, rt.alpha, rt.beta)) < _LOW
             if above and min(above) <= floor or low:
-                rt, peers = ratio_table(d, o), range(d.n)
-        yield rt, peers, w
+                rt = ratio_table(d, o)
+        yield rt, w
 
 
-def _projection(d: Dataset, o: int, yo: Sequence[Numeric]) -> RatioTable:
-    """The table of unit ``o`` with its outputs replaced by ``yo``, over every unit:
-    the table a copy of the dataset with that row would give (docs/derivations.md,
-    "One pass per unit")."""
-    outs = [col[:o] + (v,) + col[o + 1 :] for col, v in zip(d.columns[d.m :], yo)]
-    return _table(o, d.columns[: d.m], outs, d.inputs[o], yo)
-
-
-def _grown(d: Dataset, rt: RatioTable, peers: Sequence[int], grow: Numeric) -> tuple:
-    """Whether the table's dominated unit reaches the frontier with its outputs grown
-    by its exact variable-returns output score phi*, which ``grow`` rounds: the grown
-    outputs and None if no unit dominates the grown point, else None and the first
-    unit of ``peers`` that does; row j of the table is unit ``peers[j]``.
+def _project(d: Dataset, rt: RatioTable, grow: Numeric) -> tuple[RatioTable, int | None]:
+    """The table's dominated unit with its outputs grown by its exact variable-returns
+    output score phi*, which ``grow`` rounds: the table to classify it by and None
+    if no unit dominates the grown point, else ``rt`` and the first unit of the
+    table that does. The table is over every unit, the one a copy of the dataset
+    with the grown row would give (docs/derivations.md, "One pass per unit").
 
     A unit dominates the grown point when it fits (alpha <= 1), attains phi* and
     differs from it. Rounding is monotone, so each row attaining phi* holds
     ``grow``; only those rows are compared, exactly. A table over the pool decides
     as one over every unit (docs/derivations.md, "Projection decided on the pool").
     """
-    xo, yo = d.inputs[rt.reference], d.outputs[rt.reference]
+    o = rt.reference
+    xo, yo = d.inputs[o], d.outputs[o]
     tied = compress(range(len(rt.beta)), map(eq, rt.beta, repeat(grow)))
-    rows = [peers[j] for j in tied if rt.alpha[j] <= 1]
+    rows = [rt.units[j] for j in tied if rt.alpha[j] <= 1]
     low = [min(map(_quotient, d.outputs[u], yo)) for u in rows]  # each row's exact beta
     top = max(low)  # phi*
     for u, b in zip(rows, low):
         if b == top and (d.inputs[u] != xo or max(map(_quotient, d.outputs[u], yo)) != top):
-            return None, u
-    return d.outputs[rows[low.index(top)]], None
+            return rt, u
+    grown = d.outputs[rows[low.index(top)]]
+    outs = [col[:o] + (v,) + col[o + 1 :] for col, v in zip(d.columns[d.m :], grown)]
+    return _table(o, range(d.n), d.columns[: d.m], outs, xo, grown), None
 
 
 # An exact quotient as an int pair (numerator, denominator), compared by cross-multiplying

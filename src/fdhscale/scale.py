@@ -13,7 +13,7 @@ docs/derivations.md argues, and the oracle checks both on that curve.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Union
 
 from .errors import InefficientUnitError
 from .model import Dataset, Numeric, RatioTable, Tolerance, ratio_table
@@ -102,19 +102,19 @@ def scale_ratios(d: Dataset, o: int, tol: Tolerance = Tolerance()) -> ScaleRatio
 def _efficient_ratios(
     d: Dataset, rt: RatioTable, w: int | None, tol: Tolerance
 ) -> ScaleRatios:
-    """Both ratios off a table over every unit. ``w`` is the unit dominating the
-    table's reference, or None; if it is a unit, the ratios are undefined and
-    :class:`InefficientUnitError` is raised."""
+    """Both ratios off the table ``rt``, whichever units its rows are. ``w`` is the
+    unit dominating the table's reference, or None; if it is a unit, the ratios
+    are undefined and :class:`InefficientUnitError` is raised."""
     if w is not None:
         raise InefficientUnitError(
             f"unit {d.names[rt.reference]!r} is dominated by {d.names[w]!r}; "
             "scale ratios are defined for efficient units"
         )
-    return _scale_ratios(rt, tol, range(d.n))
+    return _scale_ratios(rt, tol)
 
 
-def _scale_ratios(rt: RatioTable, tol: Tolerance, peers: Sequence[int]) -> ScaleRatios:
-    """Both ratios, with witnesses as units: row j of the table is ``peers[j]``."""
+def _scale_ratios(rt: RatioTable, tol: Tolerance) -> ScaleRatios:
+    """Both ratios, with witnesses as units: row j of the table is ``rt.units[j]``."""
     (plus, i), (minus, j) = _sigma_plus(rt, tol), _sigma_minus(rt, tol)
-    witnesses = [None if r is None else peers[r] for r in (i, j)]
+    witnesses = [None if r is None else rt.units[r] for r in (i, j)]
     return ScaleRatios(rt.reference, plus, minus, *witnesses)

@@ -88,20 +88,20 @@ def find_dominating(d: Dataset, delta: Delta, o: int) -> int | None:
 
 
 def dominating_peer(d: Dataset, rt: RatioTable) -> int | None:
-    """Lowest-index unit dominating the table's reference at fixed scale.
+    """Lowest-index unit of the table dominating its reference at fixed scale.
 
-    Reads variable-returns dominance off the ratio table: unit j fits
-    under the reference's inputs and over its outputs exactly when
+    Reads variable-returns dominance off the ratio table: the unit of row j
+    fits under the reference's inputs and over its outputs exactly when
     ``alpha[j] <= 1 <= beta[j]``, also in floats (docs/derivations.md,
     "One pass per unit"). As in :func:`find_dominating`, a unit whose data
-    coincides with the reference's is no witness; the two agree on every
-    dataset.
+    coincides with the reference's is no witness; on a table over every
+    unit the two agree on every dataset.
     """
     o = rt.reference
     xo, yo = d.inputs[o], d.outputs[o]
-    for j, (a, b) in enumerate(zip(rt.alpha, rt.beta)):
-        if a <= 1 <= b and j != o and (d.inputs[j] != xo or d.outputs[j] != yo):
-            return j
+    for u, a, b in zip(rt.units, rt.alpha, rt.beta):
+        if a <= 1 <= b and u != o and (d.inputs[u] != xo or d.outputs[u] != yo):
+            return u
     return None
 
 

@@ -201,7 +201,7 @@ class TestRatioTable:
                 n = 12
                 cols = [column(k, n) for k in range(m + s)]
                 xo, yo = rng.choices([1, 2], k=m), rng.choices([1, 2], k=s)
-                t = model._table(0, cols[:m], cols[m:], xo, yo)
+                t = model._table(0, range(n), cols[:m], cols[m:], xo, yo)
                 alpha = [max(c[j] / r for c, r in zip(cols[:m], xo)) for j in range(n)]
                 beta = [min(c[j] / r for c, r in zip(cols[m:], yo)) for j in range(n)]
                 assert [(type(v), v) for v in t.alpha] == [(type(v), v) for v in alpha]

@@ -491,7 +491,7 @@ class TestPlantedFaults:
         monkeypatch.setattr(
             rts,
             "_classify",
-            lambda rt, peers, w, tol: right(rt, peers, 0 if rt.reference == 3 else w, tol),
+            lambda rt, w, tol: right(rt, 0 if rt.reference == 3 else w, tol),
         )
         code, out, status = _verify_csv(capsys, stair_csv)
         assert status["max-incremental-ratio-matches-sweep"] == [
@@ -531,9 +531,7 @@ class TestPlantedFaults:
         monkeypatch.setattr(
             rts,
             "_classify",
-            lambda rt, peers, w, tol: right(
-                rt, peers, witness if rt.reference == 4 else w, tol
-            ),
+            lambda rt, w, tol: right(rt, witness if rt.reference == 4 else w, tol),
         )
         code, out, status = _verify_csv(capsys, path)
         assert [name for name, (word, *_) in status.items() if word == "FAIL"] == [

@@ -36,7 +36,7 @@ from fdhscale import (
 from fdhscale import efficiency, io_cli, model, oracle, response
 from fdhscale.io_cli import _cell, _digest
 from fdhscale.oracle import _curve_runs, _dominator, _unit_pairs
-from fdhscale.rts import _grown, _near, _pool, _pooled
+from fdhscale.rts import _near, _pool, _pooled, _project
 from fdhscale.technology import _dominator_sets, dominating_peer
 
 from conftest import fraction_pairs, int_pairs, projected_copy
@@ -390,11 +390,14 @@ def test_projection_is_decided_as_in_exact_arithmetic(d):
     assert flags(io_cli._classified_units(d, TOL, True)) == flags(
         io_cli._classified_units(exact, TOL, True)
     )
-    for rt, peers, w in _pooled(d, TOL):
+    for rt, w in _pooled(d, TOL):
         if w is not None:
-            grow = efficiency._phis(rt, peers)[Delta.VRS].value
-            full = f.ratio_table(d, rt.reference)
-            assert _grown(d, rt, peers, grow)[0] == _grown(d, full, range(d.n), grow)[0]
+            grow = efficiency._phis(rt)[Delta.VRS].value
+            pooled, u = _project(d, rt, grow)
+            full, v = _project(d, f.ratio_table(d, rt.reference), grow)
+            assert (u is None) == (v is None)
+            if u is None:
+                assert pooled == full
     _projection_equals_a_projected_copy(d)
 
 
@@ -402,9 +405,9 @@ def _steps_off_the_pool(d):
     """Every unit's steps off its table over the pool equal those of
     ``build_response`` over every unit; returns how many tables were full."""
     full = 0
-    for rt, peers, _ in _pooled(d, TOL):
+    for rt, _ in _pooled(d, TOL):
         assert response.response_from_table(rt) == f.build_response(d, rt.reference)
-        full += len(peers) == d.n
+        full += len(rt.units) == d.n
     return full
 
 
@@ -441,6 +444,44 @@ def test_response_steps_off_a_full_fallback_table_equal_build_response(rows):
 )
 def test_response_steps_off_the_pool_equal_build_response_on_larger_data(make):
     _steps_off_the_pool(make())
+
+
+def _tables_name_their_rows(d):
+    """Every table ``_pooled`` yields holds, at row j, the row of unit ``units[j]``
+    of the table over every unit. Its units ascend and include every efficient
+    unit, and the table is hashable."""
+    efficient = {o for o in range(d.n) if f.find_dominating(d, Delta.VRS, o) is None}
+    for rt, _ in _pooled(d, TOL):
+        full = f.ratio_table(d, rt.reference)
+        assert rt.alpha == tuple(full.alpha[u] for u in rt.units)
+        assert rt.beta == tuple(full.beta[u] for u in rt.units)
+        assert list(rt.units) == sorted(set(rt.units)) and efficient <= set(rt.units)
+        hash(rt)
+
+
+@given(st.one_of(*TIE_DATA, eps_tie_datasets(), ray_copy_datasets(), *FLOAT_OR_EXACT))
+@settings(max_examples=300, deadline=None)
+def test_pool_tables_name_the_unit_of_each_row(d):
+    _tables_name_their_rows(d)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: _generated_floats(11, 300),
+        lambda: f.validate_dataset(
+            ["U1", "U2", "U3"], [[1.0], [1 + 5e-10], [2.0]], [[1.0], [2.0], [1.5]]
+        ),
+        lambda: f.validate_dataset(
+            ["U1", "U2", "U3"],
+            [[1e-6 * (1 + 1e-11)], [1e-6], [1.0]],
+            [[1e-6 * (1 - 1e-11)], [1e-6], [1.0]],
+        ),
+    ],
+    ids=["float-300", "eps-band", "low"],
+)
+def test_pool_tables_name_the_unit_of_each_row_on_fixed_data(make):
+    _tables_name_their_rows(make())
 
 
 @given(st.one_of(*TIE_DATA, *FLOAT_OR_EXACT))
