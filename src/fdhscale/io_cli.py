@@ -19,6 +19,7 @@ import math
 import re
 import sys
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 from typing import Any, Sequence, Union
 
@@ -49,6 +50,11 @@ def read_csv(source: Union[str, Path], exact: bool = False) -> Dataset:
     With ``exact`` the entries stay rational; otherwise they are converted
     to doubles.
     """
+    # No name here holds the text, so read_csv_text can drop it once it is split.
+    return read_csv_text(_text_of(source), exact=exact)
+
+
+def _text_of(source: Union[str, Path]) -> str:
     try:
         text = Path(source).read_bytes().decode("utf-8")
     except OSError as exc:
@@ -59,17 +65,21 @@ def read_csv(source: Union[str, Path], exact: bool = False) -> Dataset:
         ) from exc
     # Universal newlines, as reading in text mode gives; read_csv_text drops
     # the one byte-order mark that utf-8-sig would.
-    text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return read_csv_text(text, exact=exact)
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def read_csv_text(text: str, exact: bool = False) -> Dataset:
     text = text.removeprefix("\ufeff")  # a byte-order mark is not part of 'dmu'
-    lines = _plain_lines(text)
-    rows = [lines[0].split(",")] if lines else _csv_rows(text)
-    if not rows:
+    pieces = _plain_lines(text)
+    plain = pieces is not None
+    if not plain:
+        records = _csv_rows(text)
+        pieces = [records[:1], records[1:]]
+    del text  # the pieces hold what is read
+    head = pieces.pop(0)
+    if not head:
         raise EmptyDatasetError("no header row")
-    header = [cell.strip() for cell in rows[0]]
+    header = [cell.strip() for cell in (head[0].split(",") if plain else head[0])]
     if not header or header[0] != "dmu":
         raise ParseError(f"first column must be 'dmu', got {header[:1]!r}")
     in_cols = [k for k, name in enumerate(header) if name.startswith("in_")]
@@ -89,42 +99,56 @@ def read_csv_text(text: str, exact: bool = False) -> Dataset:
         raise ParseError("in_ columns must precede out_ columns")
 
     columns = [header[c] for c in in_cols + out_cols]
-    grid = lines and not exact and _float_grid(lines[1:], len(header), len(in_cols))
-    if grid:
-        return validate_dataset(*grid, columns)
+    grid = plain and not exact and all(  # every line's width, before a cell is read
+        line.count(",") == len(header) - 1 for piece in pieces for line in piece
+    )
     names: list[str] = []
-    inputs: list[list[Numeric]] = []
-    outputs: list[list[Numeric]] = []
-    body = (line.split(",") for line in lines[1:]) if lines else rows[1:]
-    for rownum, row in enumerate(body, start=2):
-        cells = [cell.strip() for cell in row]
-        if len(cells) != len(header):
-            raise RaggedRowsError(
-                f"row {rownum} has {len(cells)} cells, header has {len(header)}"
-            )
-        if not cells[0]:
-            raise ParseError(f"row {rownum}: empty unit name")
-        names.append(cells[0])
-        inputs.append([_cell(cells[c], exact, rownum, header[c]) for c in in_cols])
-        outputs.append([_cell(cells[c], exact, rownum, header[c]) for c in out_cols])
+    inputs: list[Sequence[Numeric]] = []
+    outputs: list[Sequence[Numeric]] = []
+    while pieces:
+        body = pieces.pop(0)  # and dropped once read
+        taken = grid and _float_grid(body, len(header), len(in_cols))
+        if taken:  # the row loop would read the same doubles and raise nothing
+            names += taken[0]
+            inputs += taken[1]
+            outputs += taken[2]
+            continue
+        for row in (line.split(",") for line in body) if plain else body:
+            rownum = len(names) + 2
+            cells = [cell.strip() for cell in row]
+            if len(cells) != len(header):
+                raise RaggedRowsError(
+                    f"row {rownum} has {len(cells)} cells, header has {len(header)}"
+                )
+            if not cells[0]:
+                raise ParseError(f"row {rownum}: empty unit name")
+            names.append(cells[0])
+            inputs.append([_cell(cells[c], exact, rownum, header[c]) for c in in_cols])
+            outputs.append([_cell(cells[c], exact, rownum, header[c]) for c in out_cols])
     return validate_dataset(names, inputs, outputs, columns)
 
 
-def _plain_lines(text: str) -> list[str] | None:
-    """The non-empty lines of ``text`` if, split at commas, they are ``csv``'s records:
-    no quote, carriage return or NUL, no line beyond ``csv.field_size_limit()``."""
+# Lines read, and units hashed, at a time: it caps the lines, cells and digest
+# lines held at once, whatever the row count.
+_CHUNK = 512
+
+
+def _plain_lines(text: str) -> list[list[str]] | None:
+    """The first non-empty line of ``text``, then the others ``_CHUNK`` at a time, if
+    split at commas they are ``csv``'s records: no quote, carriage return or NUL, no
+    line beyond ``csv.field_size_limit()``."""
     if '"' in text or "\r" in text or "\0" in text:
         return None
     lines = [line for line in text.split("\n") if line]
-    return lines if max(map(len, lines), default=0) <= csv.field_size_limit() else None
+    if max(map(len, lines), default=0) > csv.field_size_limit():
+        return None
+    return [lines[:1]] + [lines[k : k + _CHUNK] for k in range(1, len(lines), _CHUNK)]
 
 
 def _float_grid(body: list[str], width: int, m: int):
-    """Names, input rows and output rows of the lines ``body``, from column k as
-    ``cells[k::width]``. ``None``, for the row loop to decide, if a line has
-    another width, a name is empty, or a cell is long or off ``_cell``'s fast branch."""
-    if not body or {line.count(",") for line in body} != {width - 1}:
-        return None
+    """Names, input rows and output rows of the lines ``body``, of ``width`` cells
+    each, from column k as ``cells[k::width]``. ``None``, for the row loop to
+    decide, if a name is empty, or a cell is long or off ``_cell``'s fast branch."""
     cells = ",".join(body).split(",")
     names = [name.strip() for name in cells[::width]]
     if not all(names) or max(map(len, cells)) > _SHORT_CELL:
@@ -133,10 +157,9 @@ def _float_grid(body: list[str], width: int, m: int):
         values = [list(map(float, cells[k::width])) for k in range(1, width)]
     except ValueError:
         return None
-    del cells  # before the rows are built, which would raise the peak of memory
     if not all(0.0 not in v and math.isfinite(sum(v)) for v in values):
         return None
-    return names, tuple(zip(*values[:m])), tuple(zip(*values[m:]))
+    return names, zip(*values[:m]), zip(*values[m:])
 
 
 def _csv_rows(text: str) -> list[list[str]]:
@@ -243,10 +266,13 @@ def _rational(v: Numeric) -> str:
 
 def _digest(d: Dataset) -> str:
     """sha256 of the lines ``name|x,...|y,...`` of ``_rational`` literals, made a
-    column at a time."""
-    line = "|".join(["{}", ",".join(["{}"] * d.m), ",".join(["{}"] * d.s)]).format
-    text = "\n".join([*map(line, d.names, *(map(_rational, c) for c in d.columns)), ""])
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    column at a time and hashed ``_CHUNK`` lines at a time."""
+    line = "|".join(["{}", ",".join(["{}"] * d.m), ",".join(["{}"] * d.s)]) + "\n"
+    lines = map(line.format, d.names, *(map(_rational, c) for c in d.columns))
+    h = hashlib.sha256()
+    while chunk := "".join(islice(lines, _CHUNK)):
+        h.update(chunk.encode("utf-8"))
+    return h.hexdigest()
 
 
 def _num(v: Any) -> Any:
@@ -275,17 +301,15 @@ def _classified_units(d: Dataset, tol: Tolerance, project: bool):
 
     With ``project`` a dominated unit is analysed again, on a table with its
     grown outputs, only when projection makes it efficient; else its original
-    marker stays.
+    marker stays. Yielded one unit at a time, so no caller need hold every item.
     """
-    out = []
     for item, rt in classified(d, tol):
         projected = project and not isinstance(item, RtsReport)
         if projected:
             rt, w = _project(d, rt, item.scores.phi[Delta.VRS].value)
             if w is None:
                 item = _classify(rt, None, tol)
-        out.append((item, projected))
-    return out
+        yield item, projected
 
 
 _REGIMES = tuple(reg.value for reg in Delta)  # a record's score keys, in Delta order

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -35,6 +36,17 @@ def projected_copy(d: f.Dataset, o: int) -> f.Dataset:
     grown = tuple(kind(grow * v) for v in exact.outputs[o])
     outputs = tuple(grown if k == o else row for k, row in enumerate(d.outputs))
     return f.Dataset(d.names, d.inputs, outputs)
+
+
+def float_csv_lines(n: int) -> list[str]:
+    """The header and ``n`` rows of a plain float CSV with three inputs and two
+    outputs: four widely spread doubles and a small integer per row, seeded."""
+    rng = random.Random(18)
+    lines = ["dmu,in_1,in_2,in_3,out_1,out_2"]
+    for k in range(n):
+        cells = [repr(math.exp(rng.gauss(0, 3))) for _ in range(5)]
+        lines.append(",".join([f"U{k}", *cells[:4], str(rng.randint(1, 9))]))
+    return lines
 
 
 def int_pairs(pairs) -> list:

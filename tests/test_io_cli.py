@@ -1,9 +1,11 @@
+import gc
 import json
 import os
 import shutil
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -12,7 +14,7 @@ import pytest
 import fdhscale as f
 from fdhscale import Delta, Orientation, Tolerance, io_cli, model, rts
 
-from conftest import make_staircase, with_dominated
+from conftest import float_csv_lines, make_staircase, with_dominated
 
 
 RESPONSE_B = (
@@ -101,6 +103,48 @@ class TestReadCsv:
         d = f.read_csv_text("dmu,in_a,out_b\nU,1.5,2\nV,3,0.25\n")
         assert [args[3] for args in calls] == [["in_a", "out_b"]]
         assert d.columns == ((1.5, 3.0), (2.0, 0.25))
+
+
+    def test_a_late_odd_cell_is_read_row_by_row_from_its_piece(self, tmp_path, capsys):
+        # the grid keeps every piece before the one with the odd cell, and the
+        # row loop numbers that piece's rows on from them
+        lines = float_csv_lines(4000)
+        lines[-1] = lines[-1].rsplit(",", 1)[0] + ",13/4"
+        text = "\n".join(lines) + "\n"
+        d = f.read_csv_text(text)
+        assert d.n == 4000 and d.outputs[-1][-1] == 3.25
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(io_cli, "_float_grid", lambda *args: None)
+            row_loop = f.read_csv_text(text)
+        assert (d, repr(d)) == (row_loop, repr(row_loop))
+        path = tmp_path / "late.csv"
+        path.write_text(text.replace(",13/4\n", ",abc\n"), encoding="utf-8")
+        assert io_cli.main(["ratios", "--input", str(path), "--dmu", "U0"]) == 2
+        assert capsys.readouterr().err == (
+            "error [PARSE_ERROR]: row 4001, column 'out_2': bad number 'abc'\n"
+        )
+
+    def test_reading_and_hashing_hold_little_beyond_the_dataset(self, tmp_path):
+        # the reader drops the text once it is split and each piece of lines
+        # once it is read, and the digest hashes a piece of lines at a time, so
+        # the traced peak stays near what the dataset itself holds
+        path = tmp_path / "large.csv"
+        path.write_text("\n".join(float_csv_lines(4000)) + "\n", encoding="utf-8")
+        f.read_csv(path)  # anything built once per process is built here
+        gc.collect()
+        tracemalloc.start()
+        try:
+            d = f.read_csv(path)
+            d.columns
+            held = tracemalloc.get_traced_memory()[0]
+            del d
+            tracemalloc.reset_peak()
+            d = f.read_csv(path)
+            io_cli._digest(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.75 * held, (peak, held)
 
 
 class TestWriteCsv:

@@ -39,7 +39,7 @@ from fdhscale.oracle import _curve_runs, _dominator, _unit_pairs
 from fdhscale.rts import _near, _pool, _pooled, _project
 from fdhscale.technology import _dominator_sets, dominating_peer
 
-from conftest import fraction_pairs, int_pairs, projected_copy
+from conftest import float_csv_lines, fraction_pairs, int_pairs, projected_copy
 
 DELTAS = tuple(Delta)
 TOL = Tolerance()
@@ -304,7 +304,7 @@ def _projection_equals_a_projected_copy(d):
                 assert _outcome(_projected_ratios, d, o) == _outcome(_ratios_of, copy, o)
         else:
             want.append((item, False))
-    assert io_cli._classified_units(d, TOL, True) == want
+    assert list(io_cli._classified_units(d, TOL, True)) == want
 
 
 def _projected_ratios(d, o):
@@ -1274,15 +1274,49 @@ def test_columns_are_the_rows_transposed(raw, d):
         assert c.columns == _rows_transposed(c)
 
 
-def test_digest_of_a_large_float_csv_equals_fraction_strings():
-    rng = random.Random(18)
-    lines = ["dmu,in_1,in_2,in_3,out_1,out_2"]
-    for k in range(4000):
-        cells = [repr(math.exp(rng.gauss(0, 3))) for _ in range(5)]
-        lines.append(",".join([f"U{k}", *cells[:4], str(rng.randint(1, 9))]))
-    d = f.read_csv_text("\n".join(lines) + "\n")
-    assert d.n == 4000
-    assert _digest(d) == _digest_by_fraction(d)
+# Sizes about the reader's and the digest's pieces of lines.
+CHUNK = io_cli._CHUNK
+CHUNK_SIZES = [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1]
+
+
+@pytest.mark.parametrize("n", [4000, *CHUNK_SIZES])
+def test_digest_of_a_large_float_csv_equals_fraction_strings(n):
+    d = f.read_csv_text("\n".join(float_csv_lines(n)) + "\n")
+    assert d.n == n
+    for copy in (d, d.as_exact()):
+        assert _digest(copy) == _digest_by_fraction(copy)
+
+
+# An odd cell for a number column, or "" for the name column: a literal only
+# Fraction reads, a zero, an empty name and a cell over 640 characters.
+ODD_PIECE_CELLS = ["13/4", "0", "", "1." + "0" * 639]
+
+
+@pytest.mark.parametrize("n", CHUNK_SIZES)
+@pytest.mark.parametrize("odd", ODD_PIECE_CELLS)
+def test_grid_pieces_equal_the_row_loop_at_chunk_boundaries(n, odd):
+    # one odd cell on the last line of the first piece, the first line of the
+    # second, or the last line: the grid takes every other piece it reaches,
+    # and the row loop reads the odd one to the same dataset or error as the
+    # row loop reading the whole file
+    grid = io_cli._float_grid
+    for k in sorted({CHUNK - 1, CHUNK, n - 1} & set(range(n))):
+        lines = float_csv_lines(n)
+        cells = lines[k + 1].split(",")
+        cells[0 if odd == "" else 1 + k % 5] = odd
+        lines[k + 1] = ",".join(cells)
+        text = "\n".join(lines) + "\n"
+        taken = []
+
+        def spy(*args):
+            taken.append(grid(*args))
+            return taken[-1]
+
+        with mock.patch.object(io_cli, "_float_grid", spy):
+            by_pieces = _read_outcome(text)
+        assert [rows is None for rows in taken].count(True) == 1
+        with mock.patch.object(io_cli, "_float_grid", lambda *args: None):
+            assert by_pieces == _read_outcome(text)
 
 
 @functools.cache  # one strategy per k, as for the constants above
