@@ -51,20 +51,6 @@ from .model import (
     ratio_table,
     validate_dataset,
 )
-from .oracle import (
-    CheckResult,
-    OracleConfig,
-    ScalingSystem,
-    oracle_phi,
-    oracle_response_value,
-    oracle_sigma_minus,
-    oracle_sigma_plus,
-    oracle_system_feasible,
-    oracle_theta,
-    random_dataset,
-    verify_dataset,
-    verify_random,
-)
 from .response import (
     ResponseFunction,
     StepDerivative,
@@ -89,6 +75,28 @@ from .scale import (
     scale_ratios,
 )
 from .technology import Point, find_dominating, member
+
+# The verifier's names, and ``oracle`` itself, load on first use (PEP 562): of
+# the commands, only ``verify`` runs it.
+_ORACLE_NAMES = frozenset(
+    "CheckResult OracleConfig ScalingSystem oracle_phi oracle_response_value "
+    "oracle_sigma_minus oracle_sigma_plus oracle_system_feasible oracle_theta "
+    "random_dataset verify_dataset verify_random".split()
+)
+
+
+def __getattr__(name: str):
+    if name == "oracle" or name in _ORACLE_NAMES:
+        from importlib import import_module
+
+        oracle = import_module(f"{__name__}.oracle")
+        return oracle if name == "oracle" else getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_ORACLE_NAMES, "oracle"})
+
 
 __all__ = [
     "__version__",

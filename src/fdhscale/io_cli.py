@@ -12,14 +12,13 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import hashlib
 import io
 import json
 import math
 import re
 import sys
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, repeat
 from pathlib import Path
 from typing import Any, Sequence, Union
 
@@ -37,11 +36,18 @@ from .errors import (
 )
 from .model import Dataset, Delta, Numeric, Orientation, Tolerance, ratio_table
 from .model import validate_dataset
-from .oracle import OracleConfig, merge_checks, verify_dataset, verify_random
 from .response import build_response
 from .rts import RtsReport, _classify, _pooled, _project, classified
 from .scale import UNBOUNDED, _efficient_ratios
 from .technology import dominating_peer
+
+try:  # CPython's own SHA-256: hashlib's would map OpenSSL to hash one digest
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 
 def read_csv(source: Union[str, Path], exact: bool = False) -> Dataset:
@@ -100,7 +106,7 @@ def read_csv_text(text: str, exact: bool = False) -> Dataset:
 
     columns = [header[c] for c in in_cols + out_cols]
     grid = plain and not exact and all(  # every line's width, before a cell is read
-        line.count(",") == len(header) - 1 for piece in pieces for line in piece
+        set(map(str.count, piece, repeat(","))) <= {len(header) - 1} for piece in pieces
     )
     names: list[str] = []
     inputs: list[Sequence[Numeric]] = []
@@ -151,7 +157,8 @@ def _float_grid(body: list[str], width: int, m: int):
     decide, if a name is empty, or a cell is long or off ``_cell``'s fast branch."""
     cells = ",".join(body).split(",")
     names = [name.strip() for name in cells[::width]]
-    if not all(names) or max(map(len, cells)) > _SHORT_CELL:
+    wide = max(map(len, body)) > _SHORT_CELL  # else no cell is: none outgrows its line
+    if not all(names) or wide and max(map(len, cells)) > _SHORT_CELL:
         return None
     try:
         values = [list(map(float, cells[k::width])) for k in range(1, width)]
@@ -269,7 +276,7 @@ def _digest(d: Dataset) -> str:
     column at a time and hashed ``_CHUNK`` lines at a time."""
     line = "|".join(["{}", ",".join(["{}"] * d.m), ",".join(["{}"] * d.s)]) + "\n"
     lines = map(line.format, d.names, *(map(_rational, c) for c in d.columns))
-    h = hashlib.sha256()
+    h = sha256()
     while chunk := "".join(islice(lines, _CHUNK)):
         h.update(chunk.encode("utf-8"))
     return h.hexdigest()
@@ -565,6 +572,8 @@ def _cmd_document(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .oracle import OracleConfig, merge_checks, verify_dataset, verify_random
+
     tol = Tolerance(args.eps)
     cfg = OracleConfig(grid_steps=args.grid_steps)
     batches = []

@@ -235,11 +235,12 @@ def validate_dataset(
                 f"column {label!r} spans {lo!r} to {hi!r}; its ratios leave the "
                 "double range (largest/smallest must be at most 2**511)"
             )
-    seen: set[str] = set()
-    for name in names:
-        if name in seen:
-            raise DuplicateNameError(f"duplicate unit name {name!r}")
-        seen.add(name)
+    if len(set(names)) < len(names):  # then name the first repeat
+        seen: set[str] = set()
+        for name in names:
+            if name in seen:
+                raise DuplicateNameError(f"duplicate unit name {name!r}")
+            seen.add(name)
     return d
 
 

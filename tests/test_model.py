@@ -48,6 +48,10 @@ class TestValidation:
             f.validate_dataset(["A", "A"], [[1], [2]], [[1], [2]])
         assert "A" in str(exc.value)
 
+    def test_the_first_repeated_name_is_named(self):
+        with pytest.raises(f.DuplicateNameError, match="^duplicate unit name 'B'$"):
+            f.validate_dataset(["A", "B", "B", "A"], [[1], [2], [3], [4]], [[1]] * 4)
+
     @pytest.mark.parametrize("bad", [0, -1, F(-3, 7), float("nan"), float("inf")])
     def test_nonpositive_or_nonfinite_values_rejected(self, bad):
         with pytest.raises(f.NonpositiveValueError):
