@@ -11,21 +11,17 @@ suite holds the two paths equal (docs/derivations.md).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import compress, repeat
 from operator import ge, le, not_, truediv
-from typing import Mapping
 
-from .model import Dataset, Delta, Numeric, Orientation, RatioTable, ratio_table
+from .model import Dataset, Delta, Orientation, RatioTable, ratio_table
 
 
-@dataclass(frozen=True)
-class Score:
+class Score(namedtuple("Score", "value witness delta")):
     """A radial score with the peer and scaling factor attaining it."""
 
-    value: Numeric
-    witness: int
-    delta: Numeric
+    __slots__ = ()
 
 
 def theta(d: Dataset, delta: Delta, o: int) -> Score:
@@ -59,13 +55,11 @@ def radial(d: Dataset, delta: Delta, orientation: Orientation, o: int) -> Score:
     return (theta if orientation is Orientation.INPUT else phi)(d, delta, o)
 
 
-@dataclass(frozen=True)
-class EfficiencyScores:
-    """Both orientations under all four regimes for one unit, in ``Delta`` order."""
+class EfficiencyScores(namedtuple("EfficiencyScores", "reference theta phi")):
+    """Both orientations under all four regimes for one unit, in ``Delta`` order:
+    ``theta`` and ``phi`` map each ``Delta`` to its :class:`Score`."""
 
-    reference: int
-    theta: Mapping[Delta, Score]
-    phi: Mapping[Delta, Score]
+    __slots__ = ()
 
 
 def _side(pick, own, scale, fits, units) -> tuple[Score, Score, Score, Score]:

@@ -17,10 +17,10 @@ import json
 import math
 import re
 import sys
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import islice, repeat
-from pathlib import Path
-from typing import Any, Sequence, Union
+from os import PathLike
 
 from ._version import __version__
 from .efficiency import _phis, _thetas
@@ -38,7 +38,7 @@ from .model import Dataset, Delta, Numeric, Orientation, Tolerance, ratio_table
 from .model import validate_dataset
 from .response import build_response
 from .rts import RtsReport, _classify, _pooled, _project, classified
-from .scale import UNBOUNDED, _efficient_ratios
+from .scale import UNBOUNDED, RatioValue, _efficient_ratios
 from .technology import dominating_peer
 
 try:  # CPython's own SHA-256: hashlib's would map OpenSSL to hash one digest
@@ -50,7 +50,7 @@ except ImportError:
         from hashlib import sha256
 
 
-def read_csv(source: Union[str, Path], exact: bool = False) -> Dataset:
+def read_csv(source: str | PathLike, exact: bool = False) -> Dataset:
     """Parse and validate a dataset CSV.
 
     With ``exact`` the entries stay rational; otherwise they are converted
@@ -60,9 +60,10 @@ def read_csv(source: Union[str, Path], exact: bool = False) -> Dataset:
     return read_csv_text(_text_of(source), exact=exact)
 
 
-def _text_of(source: Union[str, Path]) -> str:
+def _text_of(source: str | PathLike) -> str:
     try:
-        text = Path(source).read_bytes().decode("utf-8")
+        with open(source, "rb") as fh:
+            text = fh.read().decode("utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {source}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -243,7 +244,7 @@ def _near_exponent(text: str, exact: bool, where: str) -> str:
     return f"{m[1]}e{bound if exponent > 0 else -bound}"
 
 
-def write_csv(d: Dataset, destination: Union[str, Path, None] = None) -> str:
+def write_csv(d: Dataset, destination: str | PathLike | None = None) -> str:
     """Serialize a dataset with fraction literals, for exact round-trips."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -256,10 +257,11 @@ def write_csv(d: Dataset, destination: Union[str, Path, None] = None) -> str:
     return _deliver(buf.getvalue(), destination)
 
 
-def _deliver(text: str, destination: Union[str, Path, None]) -> str:
+def _deliver(text: str, destination: str | PathLike | None) -> str:
     if destination is not None:
         try:
-            Path(destination).write_text(text, encoding="utf-8")
+            with open(destination, "w", encoding="utf-8") as fh:
+                fh.write(text)
         except OSError as exc:
             raise ReportWriteError(f"cannot write {destination}: {exc}") from exc
     return text
@@ -282,7 +284,7 @@ def _digest(d: Dataset) -> str:
     return h.hexdigest()
 
 
-def _num(v: Any) -> Any:
+def _num(v: RatioValue) -> int | float | str:
     """JSON form of a score: 12-decimal rounding, 'inf' for the symbol."""
     if v is UNBOUNDED:
         return "inf"
@@ -327,10 +329,10 @@ def _report_record(
 ) -> dict:
     """One unit's record: every score with ``full_scores``, else theta_vrs only."""
     efficient = isinstance(item, RtsReport)
-    rec: dict[str, Any] = {"name": d.names[item.reference], "efficient": efficient}
+    rec: dict[str, object] = {"name": d.names[item.reference], "efficient": efficient}
     if include_flag:
         rec["projected"] = projected
-    witnesses: dict[str, Any] = {}
+    witnesses: dict[str, object] = {}
     if full_scores:  # score mappings are keyed in Delta order, as _REGIMES is
         for key, scores in (("theta", item.scores.theta), ("phi", item.scores.phi)):
             kept = scores.values()
@@ -356,7 +358,7 @@ def _report_record(
     return rec
 
 
-def _name_or_none(d: Dataset, j: Union[int, None]) -> Union[str, None]:
+def _name_or_none(d: Dataset, j: int | None) -> str | None:
     return None if j is None else d.names[j]
 
 
@@ -429,7 +431,7 @@ def build_ratios_document(
     }
 
 
-def response_csv(d: Dataset, name: str, alpha_max: Union[float, None] = None) -> str:
+def response_csv(d: Dataset, name: str, alpha_max: float | None = None) -> str:
     """Two-column step list of a unit's response function."""
     r = build_response(d, d.index_of(name))
     buf = io.StringIO()
@@ -442,7 +444,7 @@ def response_csv(d: Dataset, name: str, alpha_max: Union[float, None] = None) ->
     return buf.getvalue()
 
 
-def write_report(document: dict, destination: Union[str, Path, None] = None) -> str:
+def write_report(document: dict, destination: str | PathLike | None = None) -> str:
     """Serialize a report deterministically; optionally write it out."""
     text = json.dumps(document, separators=(",", ":"), allow_nan=False) + "\n"
     return _deliver(text, destination)
@@ -596,7 +598,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if ok else 3
 
 
-def main(argv: Union[Sequence[str], None] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

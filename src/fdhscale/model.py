@@ -17,13 +17,13 @@ code as the fast path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
 from operator import itemgetter, truediv
-from typing import Sequence, Union
 
 from .errors import (
     DuplicateNameError,
@@ -34,7 +34,7 @@ from .errors import (
     ValueSpreadError,
 )
 
-Numeric = Union[int, float, Fraction]
+Numeric = int | float | Fraction
 
 
 class Delta(Enum):
@@ -66,8 +66,7 @@ class Orientation(Enum):
     OUTPUT = "output"
 
 
-@dataclass(frozen=True)
-class Tolerance:
+class Tolerance(namedtuple("Tolerance", "eps")):
     """Epsilon used by classification thresholds.
 
     Geometry (membership, dominance, scores) is computed with exact
@@ -75,24 +74,25 @@ class Tolerance:
     classes, score-equality tests) consult this value.
     """
 
-    eps: float = 1e-9
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.eps < 1e-3:
-            raise ValueError(f"eps must lie in (0, 1e-3), got {self.eps!r}")
+    def __new__(cls, eps: float = 1e-9) -> Tolerance:
+        if not 0.0 < eps < 1e-3:
+            raise ValueError(f"eps must lie in (0, 1e-3), got {eps!r}")
+        return super().__new__(cls, eps)
+
+    @classmethod
+    def _make(cls, fields) -> Tolerance:  # so that _replace checks too
+        return cls(*fields)
 
 
-@dataclass(frozen=True)
-class Dataset:
-    """Immutable table of named units with positive inputs and outputs.
+class Dataset(namedtuple("Dataset", "names inputs outputs")):
+    """Immutable table of named units with positive inputs and outputs: a tuple of
+    names, one of input rows and one of output rows.
 
     Construct through :func:`validate_dataset`; the raw constructor performs
-    no checking.
+    no checking. No ``__slots__``: ``columns`` is cached in the instance dict.
     """
-
-    names: tuple[str, ...]
-    inputs: tuple[tuple[Numeric, ...], ...]
-    outputs: tuple[tuple[Numeric, ...], ...]
 
     @property
     def n(self) -> int:
@@ -244,8 +244,7 @@ def validate_dataset(
     return d
 
 
-@dataclass(frozen=True)
-class RatioTable:
+class RatioTable(namedtuple("RatioTable", "reference units alpha beta")):
     """Worst input and output ratios of some units against one reference.
 
     Row j is unit ``units[j]``, in ascending order: every unit for
@@ -254,10 +253,7 @@ class RatioTable:
     for ``u = units[j]``. Both are 1 at the reference itself.
     """
 
-    reference: int
-    units: Sequence[int]
-    alpha: tuple[Numeric, ...]
-    beta: tuple[Numeric, ...]
+    __slots__ = ()
 
 
 def ratio_table(d: Dataset, o: int) -> RatioTable:

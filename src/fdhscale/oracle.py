@@ -31,12 +31,12 @@ value that is compared with the fast path or printed
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Iterator
 from enum import Enum
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import chain
-from typing import Callable, Iterable, Iterator
 
 from . import response, rts
 from .errors import InefficientUnitError, OutOfDomainError
@@ -45,8 +45,7 @@ from .model import validate_dataset
 from .scale import UNBOUNDED, RatioValue
 
 
-@dataclass(frozen=True)
-class OracleConfig:
+class OracleConfig(namedtuple("OracleConfig", "grid_steps")):
     """Oracle settings, accepted, not read.
 
     ``grid_steps`` once set a grid of points per unit for the curve walk.
@@ -54,11 +53,16 @@ class OracleConfig:
     reads it; it is still validated, and ``perfbench/checker.py`` passes one.
     """
 
-    grid_steps: int = 10_000
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.grid_steps < 100:
-            raise ValueError(f"grid_steps must be >= 100, got {self.grid_steps}")
+    def __new__(cls, grid_steps: int = 10_000) -> OracleConfig:
+        if grid_steps < 100:
+            raise ValueError(f"grid_steps must be >= 100, got {grid_steps}")
+        return super().__new__(cls, grid_steps)
+
+    @classmethod
+    def _make(cls, fields) -> OracleConfig:  # so that _replace checks too
+        return cls(*fields)
 
 
 class ScalingSystem(Enum):
@@ -326,13 +330,10 @@ def random_dataset(seed: int, n: int, m: int, s: int) -> Dataset:
     return validate_dataset(names, inputs, outputs)
 
 
-@dataclass
-class CheckResult:
+class CheckResult(namedtuple("CheckResult", "name passed detail")):
     """Outcome of one verification check, possibly over many datasets."""
 
-    name: str
-    passed: bool
-    detail: str
+    __slots__ = ()
 
     def merge(self, other: "CheckResult") -> "CheckResult":
         if not self.passed:
@@ -572,7 +573,7 @@ def verify_random(
         )
 
     out = merge_checks(verify_dataset(trial(t), tol) for t in range(trials))
-    for res in out:
-        if res.passed:
-            res.detail = f"{trials} datasets, last: {res.detail}"
-    return out
+    return [
+        res._replace(detail=f"{trials} datasets, last: {res.detail}") if res.passed else res
+        for res in out
+    ]

@@ -11,7 +11,7 @@ contributes its worst output ratio.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from operator import itemgetter
 
@@ -27,8 +27,7 @@ class StepDerivative(Enum):
     UNDEFINED = "undefined"
 
 
-@dataclass(frozen=True)
-class ResponseFunction:
+class ResponseFunction(namedtuple("ResponseFunction", "reference steps")):
     """Canonical step list: thresholds and values both strictly increasing.
 
     ``steps[k] = (threshold, value)`` means the function equals ``value``
@@ -36,8 +35,7 @@ class ResponseFunction:
     threshold, ``alpha_min``; queries below it are undefined.
     """
 
-    reference: int
-    steps: tuple[tuple[Numeric, Numeric], ...]
+    __slots__ = ()
 
     @property
     def alpha_min(self) -> Numeric:

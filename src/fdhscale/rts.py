@@ -15,16 +15,16 @@ without recomputing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterator, Mapping
 from enum import Enum
 from functools import cmp_to_key
 from itertools import compress, repeat
 from operator import eq
-from typing import Iterator, Mapping, Union
 
 from .efficiency import EfficiencyScores, Score, _phis, _thetas
 from .model import Dataset, Delta, Numeric, RatioTable, Tolerance, _table, ratio_table
-from .scale import RatioValue, ScaleRatios, _scale_ratios
+from .scale import RatioValue, _scale_ratios
 from .technology import _dominator_sets, _units, dominating_peer
 
 
@@ -53,10 +53,10 @@ class GrsClass(Enum):
     DRS = "G-DRS"
 
 
-@dataclass(frozen=True)
-class OneSidedRts:
-    right: RightRts
-    left: LeftRts
+class OneSidedRts(namedtuple("OneSidedRts", "right left")):
+    """A unit's right and left class."""
+
+    __slots__ = ()
 
 
 def _side_class(kind: type[Enum], ratio: RatioValue, tol: Tolerance) -> Enum:
@@ -81,30 +81,21 @@ def _grs(theta: Mapping[Delta, Score], mpss: bool, tol: Tolerance) -> GrsClass:
     return GrsClass.CRS if mpss else GrsClass.SCRS
 
 
-@dataclass(frozen=True)
-class RtsReport:
+class RtsReport(namedtuple("RtsReport", "reference one_sided grs sigma mpss scores")):
     """Full classification of one efficient unit."""
 
-    reference: int
-    one_sided: OneSidedRts
-    grs: GrsClass
-    sigma: ScaleRatios
-    mpss: bool
-    scores: EfficiencyScores
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class InefficientUnit:
+class InefficientUnit(
+    namedtuple("InefficientUnit", "reference theta_vrs witness scores mpss")
+):
     """Marker for a dominated unit: its scores and a dominating unit."""
 
-    reference: int
-    theta_vrs: Numeric
-    witness: int
-    scores: EfficiencyScores
-    mpss: bool
+    __slots__ = ()
 
 
-Item = Union[RtsReport, InefficientUnit]  # a unit's report, or its marker if dominated
+Item = RtsReport | InefficientUnit  # a unit's report, or its marker if dominated
 
 
 def classify_unit(d: Dataset, o: int, tol: Tolerance = Tolerance()) -> Item:

@@ -12,8 +12,7 @@ docs/derivations.md argues, and the oracle checks both on that curve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+from collections import namedtuple
 
 from .errors import InefficientUnitError
 from .model import Dataset, Numeric, RatioTable, Tolerance, ratio_table
@@ -59,7 +58,7 @@ class UnboundedRatio:
 
 UNBOUNDED = UnboundedRatio()
 
-RatioValue = Union[Numeric, UnboundedRatio]
+RatioValue = Numeric | UnboundedRatio
 
 
 def _sigma_plus(rt: RatioTable, tol: Tolerance) -> tuple[RatioValue, int | None]:
@@ -78,15 +77,12 @@ def _sigma_minus(rt: RatioTable, tol: Tolerance) -> tuple[RatioValue, int | None
     return (best, rows[slopes.index(best)]) if rows else (UNBOUNDED, None)
 
 
-@dataclass(frozen=True)
-class ScaleRatios:
+class ScaleRatios(
+    namedtuple("ScaleRatios", "reference sigma_plus sigma_minus plus_witness minus_witness")
+):
     """Both scale ratios of one efficient unit with their witnesses."""
 
-    reference: int
-    sigma_plus: RatioValue
-    sigma_minus: RatioValue
-    plus_witness: int | None
-    minus_witness: int | None
+    __slots__ = ()
 
 
 def scale_ratios(d: Dataset, o: int, tol: Tolerance = Tolerance()) -> ScaleRatios:

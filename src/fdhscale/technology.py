@@ -10,24 +10,25 @@ per column. All comparisons are exact; tolerances play no role in geometry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Iterator
 from itertools import groupby
-from typing import Iterator
 
 from .errors import DimensionMismatchError
 from .model import Dataset, Delta, Numeric, RatioTable, check_index
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(namedtuple("Point", "x y")):
     """An input/output bundle to test against the technology."""
 
-    x: tuple[Numeric, ...]
-    y: tuple[Numeric, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "x", tuple(self.x))
-        object.__setattr__(self, "y", tuple(self.y))
+    def __new__(cls, x: Iterable[Numeric], y: Iterable[Numeric]) -> Point:
+        return super().__new__(cls, tuple(x), tuple(y))
+
+    @classmethod
+    def _make(cls, fields) -> Point:  # so that _replace converts too
+        return cls(*fields)
 
 
 def _check_point(d: Dataset, p: Point) -> None:

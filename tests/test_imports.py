@@ -1,4 +1,5 @@
-"""What a run loads: no OpenSSL for the digest, and the verifier only for ``verify``."""
+"""What a run loads: no OpenSSL for the digest, the verifier only for ``verify``, and
+no ``dataclasses``, ``inspect``, ``typing`` or ``pathlib`` at all."""
 
 import os
 import subprocess
@@ -15,6 +16,9 @@ from conftest import float_csv_lines
 # the child imports the package under test, installed or not
 SRC = str(Path(f.__file__).parents[1])
 HEAVY = {"_hashlib", "fdhscale.oracle"}
+# records are named tuples and annotations are never evaluated, so none of these
+# is needed to run; dataclasses alone pulls in inspect, ast, dis and tokenize
+MACHINERY = {"dataclasses", "inspect", "typing", "pathlib"}
 
 
 def _python(*args: str) -> subprocess.CompletedProcess:
@@ -53,6 +57,20 @@ class TestWhatARunLoads:
         loaded = _imported("-m", "fdhscale", *argv)
         assert "fdhscale.oracle" in loaded
         assert "_hashlib" not in loaded
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["-c", "import fdhscale.io_cli"],
+            ["-m", "fdhscale", "report", "--input", "{csv}"],
+            ["-m", "fdhscale", "verify", "--input", "{csv}", "--trials", "1"],
+        ],
+        ids=["import", "report", "verify"],
+    )
+    def test_no_run_loads_the_record_or_annotation_machinery(self, stair_csv, argv):
+        loaded = _imported(*(arg.format(csv=stair_csv) for arg in argv))
+        assert "fdhscale.rts" in loaded
+        assert loaded & MACHINERY == set()
 
 
 class TestPublicNames:

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 from fractions import Fraction as F
 
@@ -228,10 +227,8 @@ class TestVerification:
         # bound keeps every witness feasible and every score in bounds
         report = f.classify_all(stair)[1]
         theta = dict(report.scores.theta)
-        theta[Delta.CRS] = dataclasses.replace(theta[Delta.CRS], value=F(1))
-        broken = dataclasses.replace(
-            report, scores=dataclasses.replace(report.scores, theta=theta)
-        )
+        theta[Delta.CRS] = theta[Delta.CRS]._replace(value=F(1))
+        broken = report._replace(scores=report.scores._replace(theta=theta))
         cols = oracle._columns(stair)
         assert list(oracle._score_failures(stair, cols, report, None)) == []
         assert list(oracle._score_failures(stair, cols, broken, None)) == [
@@ -244,7 +241,7 @@ class TestVerification:
         d = with_dominated("E", x=(4,), y=(3,))
         report = f.classify_all(d)[0]
         assert report.grs is f.GrsClass.IRS and f.check_consistency(report) == []
-        broken = dataclasses.replace(report, reference=4)
+        broken = report._replace(reference=4)
         pairs = oracle._unit_pairs(d, 4)
         assert list(oracle._implication_failures(d, broken, pairs, f.Tolerance())) == [
             "E: output-rich peer not larger"
@@ -268,20 +265,20 @@ def _nudge_sigma(r):
 
 def _nudge_last_step(r):
     t, v = r.steps[-1]
-    return dataclasses.replace(r, steps=r.steps[:-1] + ((t, v + TINY),))
+    return r._replace(steps=r.steps[:-1] + ((t, v + TINY),))
 
 
 def _d_steps(change):
     """Change the step list of D, whose steps below 1 sit at 1/6, 1/2 and 5/6."""
 
     def faulty(r):
-        return r if r.reference != 3 else dataclasses.replace(r, steps=change(r.steps))
+        return r if r.reference != 3 else r._replace(steps=change(r.steps))
 
     return faulty
 
 
 def _nudge_score(sc):
-    return dataclasses.replace(sc, value=sc.value + TINY)
+    return sc._replace(value=sc.value + TINY)
 
 
 def _nudge_side(side_pick):
@@ -315,7 +312,7 @@ def _nudge_d_alpha_of_a(rt):
     if rt.reference != 0:
         return rt
     alpha = rt.alpha[:3] + (rt.alpha[3] + TINY,) + rt.alpha[4:]
-    return dataclasses.replace(rt, alpha=alpha)
+    return rt._replace(alpha=alpha)
 
 
 def _nudge_d_beta_of_a(pairs):
@@ -340,7 +337,7 @@ def _replace_fields(unit, **changes):
             for item, rt in right(d, tol):
                 if item.reference == unit:
                     new = {key: fix(getattr(item, key)) for key, fix in changes.items()}
-                    item = dataclasses.replace(item, **new)
+                    item = item._replace(**new)
                 yield item, rt
 
         monkeypatch.setattr(rts, "classified", faulty)
@@ -349,29 +346,29 @@ def _replace_fields(unit, **changes):
 
 
 def _flip_right(sided):
-    return dataclasses.replace(sided, right=rts.RightRts.DRS)
+    return sided._replace(right=rts.RightRts.DRS)
 
 
 def _right_irs(sided):
-    return dataclasses.replace(sided, right=rts.RightRts.IRS)
+    return sided._replace(right=rts.RightRts.IRS)
 
 
 def _flip_left(sided):
-    return dataclasses.replace(sided, left=rts.LeftRts.DRS)
+    return sided._replace(left=rts.LeftRts.DRS)
 
 
 def _theta_vrs_witness_at_d(scores):
     theta = dict(scores.theta)
-    theta[Delta.VRS] = dataclasses.replace(theta[Delta.VRS], witness=3)
-    return dataclasses.replace(scores, theta=theta)
+    theta[Delta.VRS] = theta[Delta.VRS]._replace(witness=3)
+    return scores._replace(theta=theta)
 
 
 def _phi_crs_witness_at_self(scores):
     # unscaled, the unit itself meets its inputs but not phi_crs = 13/12 times
     # its outputs, so only the score factor on the outputs makes this infeasible
     phi = dict(scores.phi)
-    phi[Delta.CRS] = dataclasses.replace(phi[Delta.CRS], witness=0, delta=1)
-    return dataclasses.replace(scores, phi=phi)
+    phi[Delta.CRS] = phi[Delta.CRS]._replace(witness=0, delta=1)
+    return scores._replace(phi=phi)
 
 
 # sha256 of verify stdout and the exit code under each planted fault, on the
@@ -642,7 +639,7 @@ class TestPlantedFaults:
                     3,
                     grs=lambda _: rts.GrsClass.IRS,
                     one_sided=_right_irs,
-                    sigma=lambda sigma: dataclasses.replace(sigma, sigma_plus=F(2)),
+                    sigma=lambda sigma: sigma._replace(sigma_plus=F(2)),
                 ),
                 ["global-class-implications"],
                 id="grs-growth",

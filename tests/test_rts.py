@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -232,8 +231,8 @@ class TestConsistency:
 
     def test_swapped_right_class_is_caught(self, stair):
         report = f.classify_all(stair)[0]
-        broken = dataclasses.replace(
-            report, one_sided=OneSidedRts(RightRts.DRS, report.one_sided.left)
+        broken = report._replace(
+            one_sided=OneSidedRts(RightRts.DRS, report.one_sided.left)
         )
         messages = f.check_consistency(broken)
         assert len(messages) == 2
@@ -242,18 +241,14 @@ class TestConsistency:
 
     def test_tampered_ratio_is_caught(self, stair):
         report = f.classify_all(stair)[0]
-        broken = dataclasses.replace(
-            report, sigma=dataclasses.replace(report.sigma, sigma_plus=F(1, 2))
-        )
+        broken = report._replace(sigma=report.sigma._replace(sigma_plus=F(1, 2)))
         messages = f.check_consistency(broken)
         assert any("disagrees" in msg for msg in messages)
 
     def test_constant_class_bounds_both_ratios(self, stair):
         report = f.classify_all(stair)[3]
         assert report.grs is GrsClass.CRS
-        broken = dataclasses.replace(
-            report, sigma=dataclasses.replace(report.sigma, sigma_plus=F(2))
-        )
+        broken = report._replace(sigma=report.sigma._replace(sigma_plus=F(2)))
         messages = f.check_consistency(broken)
         assert any("globally constant" in msg for msg in messages)
 
@@ -262,9 +257,8 @@ class TestConsistency:
         assert report.grs is GrsClass.SCRS and f.check_consistency(report) == []
         # an unbounded decremental ratio with a matching left class: only the
         # global class is off
-        broken = dataclasses.replace(
-            report,
-            sigma=dataclasses.replace(report.sigma, sigma_minus=UNBOUNDED),
+        broken = report._replace(
+            sigma=report.sigma._replace(sigma_minus=UNBOUNDED),
             one_sided=OneSidedRts(RightRts.IRS, LeftRts.IRS),
         )
         assert f.check_consistency(broken) == [
