@@ -2,9 +2,10 @@
 
 Wire format: a header ``dmu,in_<name>,...,out_<name>,...`` with input
 columns before output columns, then one row per unit. Cells accept
-decimals and fraction literals like ``13/4``. Reports are emitted as
-compact JSON with a fixed field order and 12-decimal rounding, so the
-same inputs and flags always produce the same bytes.
+decimals and fraction literals like ``13/4``, and may be quoted as the
+``csv`` module reads them. Reports are emitted as compact JSON with a
+fixed field order and 12-decimal rounding, so the same inputs and flags
+always produce the same bytes.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import re
 import sys
 from collections.abc import Sequence
 from fractions import Fraction
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from os import PathLike
 
 from ._version import __version__
@@ -76,17 +77,12 @@ def _text_of(source: str | PathLike) -> str:
 
 
 def read_csv_text(text: str, exact: bool = False) -> Dataset:
-    text = text.removeprefix("\ufeff")  # a byte-order mark is not part of 'dmu'
-    pieces = _plain_lines(text)
-    plain = pieces is not None
-    if not plain:
-        records = _csv_rows(text)
-        pieces = [records[:1], records[1:]]
+    pieces = _records(text.removeprefix("\ufeff"))  # a byte-order mark is not part of 'dmu'
     del text  # the pieces hold what is read
-    head = pieces.pop(0)
-    if not head:
+    long, head = next(pieces)
+    if head is None:
         raise EmptyDatasetError("no header row")
-    header = [cell.strip() for cell in (head[0].split(",") if plain else head[0])]
+    header = [cell.strip() for cell in head]
     if not header or header[0] != "dmu":
         raise ParseError(f"first column must be 'dmu', got {header[:1]!r}")
     in_cols = [k for k, name in enumerate(header) if name.startswith("in_")]
@@ -106,21 +102,17 @@ def read_csv_text(text: str, exact: bool = False) -> Dataset:
         raise ParseError("in_ columns must precede out_ columns")
 
     columns = [header[c] for c in in_cols + out_cols]
-    grid = plain and not exact and all(  # every line's width, before a cell is read
-        set(map(str.count, piece, repeat(","))) <= {len(header) - 1} for piece in pieces
-    )
     names: list[str] = []
     inputs: list[Sequence[Numeric]] = []
     outputs: list[Sequence[Numeric]] = []
-    while pieces:
-        body = pieces.pop(0)  # and dropped once read
-        taken = grid and _float_grid(body, len(header), len(in_cols))
+    while body := next(pieces, None):  # no name keeps the last piece
+        taken = not exact and _float_grid(body, len(header), len(in_cols), long)
         if taken:  # the row loop would read the same doubles and raise nothing
             names += taken[0]
             inputs += taken[1]
             outputs += taken[2]
             continue
-        for row in (line.split(",") for line in body) if plain else body:
+        for row in body:
             rownum = len(names) + 2
             cells = [cell.strip() for cell in row]
             if len(cells) != len(header):
@@ -135,48 +127,56 @@ def read_csv_text(text: str, exact: bool = False) -> Dataset:
     return validate_dataset(names, inputs, outputs, columns)
 
 
-# Lines read, and units hashed, at a time: it caps the lines, cells and digest
-# lines held at once, whatever the row count.
+# Records read, and units hashed, at a time, whatever the row count.
 _CHUNK = 512
 
 
-def _plain_lines(text: str) -> list[list[str]] | None:
-    """The first non-empty line of ``text``, then the others ``_CHUNK`` at a time, if
-    split at commas they are ``csv``'s records: no quote, carriage return or NUL, no
-    line beyond ``csv.field_size_limit()``."""
-    if '"' in text or "\r" in text or "\0" in text:
-        return None
-    lines = [line for line in text.split("\n") if line]
-    if max(map(len, lines), default=0) > csv.field_size_limit():
-        return None
-    return [lines[:1]] + [lines[k : k + _CHUNK] for k in range(1, len(lines), _CHUNK)]
+def _records(text: str):
+    """Whether a cell may be longer than ``_SHORT_CELL`` and the first record, or
+    ``None``, then the others ``_CHUNK`` at a time: the non-empty records of
+    ``text`` as ``csv.reader`` reads them, a ``csv.Error`` raised as a
+    ``ParseError`` once the records before it are read."""
+    lines = text.split("\n")
+    # A quoted cell may span lines, and so outgrow every line.
+    long = '"' in text or max(map(len, lines)) > _SHORT_CELL
+    tail = [lines.pop()]  # after the last line end, which csv reads without one
+    rest = iter([None, *reversed(lines)].pop, None)  # in order, each let go once read
+    del text, lines
+    reader = csv.reader(chain(map(str.__add__, rest, repeat("\n")), tail))
+    records = filter(None, reader)
+    piece = []
+    try:
+        yield long, next(records, None)
+        while True:
+            piece = []
+            piece += islice(records, _CHUNK)  # keeps what precedes a csv.Error
+            if not piece:
+                return
+            yield piece
+    except csv.Error as exc:  # e.g. a field beyond csv.field_size_limit()
+        error = ParseError(f"line {reader.line_num}: {exc}")
+    if piece:
+        yield piece
+    raise error
 
 
-def _float_grid(body: list[str], width: int, m: int):
-    """Names, input rows and output rows of the lines ``body``, of ``width`` cells
-    each, from column k as ``cells[k::width]``. ``None``, for the row loop to
-    decide, if a name is empty, or a cell is long or off ``_cell``'s fast branch."""
-    cells = ",".join(body).split(",")
-    names = [name.strip() for name in cells[::width]]
-    wide = max(map(len, body)) > _SHORT_CELL  # else no cell is: none outgrows its line
-    if not all(names) or wide and max(map(len, cells)) > _SHORT_CELL:
+def _float_grid(body: list[list[str]], width: int, m: int, long: bool):
+    """Names, input rows and output rows of the records ``body``, from their columns;
+    ``None``, for the row loop to decide, if a record is not ``width`` wide, a name is
+    empty, or a cell is off ``_cell``'s fast branch or long (if ``long`` allows it)."""
+    names, *cells = zip(*body)
+    names = list(map(str.strip, names))
+    if set(map(len, body)) != {width} or not all(names):
+        return None
+    if long and max(map(len, chain.from_iterable(cells))) > _SHORT_CELL:
         return None
     try:
-        values = [list(map(float, cells[k::width])) for k in range(1, width)]
+        values = [list(map(float, column)) for column in cells]
     except ValueError:
         return None
     if not all(0.0 not in v and math.isfinite(sum(v)) for v in values):
         return None
     return names, zip(*values[:m]), zip(*values[m:])
-
-
-def _csv_rows(text: str) -> list[list[str]]:
-    """The non-empty records of a CSV text; a malformed one is a ``ParseError``."""
-    reader = csv.reader(io.StringIO(text))
-    try:
-        return [row for row in reader if row]
-    except csv.Error as exc:  # e.g. a field beyond csv.field_size_limit()
-        raise ParseError(f"line {reader.line_num}: {exc}") from exc
 
 
 # Python refuses int-string conversions beyond a digit limit that can be set

@@ -1,3 +1,4 @@
+import csv
 import gc
 import json
 import os
@@ -125,9 +126,10 @@ class TestReadCsv:
         )
 
     def test_reading_and_hashing_hold_little_beyond_the_dataset(self, tmp_path):
-        # the reader drops the text once it is split and each piece of lines
-        # once it is read, and the digest hashes a piece of lines at a time, so
-        # the traced peak stays near what the dataset itself holds
+        # the reader drops the text once it is split and each line once it is
+        # read, and the digest hashes a piece of lines at a time, so the traced
+        # peak stays near what the dataset itself holds (1.2 times it on CPython
+        # 3.11; 1.5 times if the lines were held until the read ends)
         path = tmp_path / "large.csv"
         path.write_text("\n".join(float_csv_lines(4000)) + "\n", encoding="utf-8")
         f.read_csv(path)  # anything built once per process is built here
@@ -144,7 +146,67 @@ class TestReadCsv:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.75 * held, (peak, held)
+        assert peak <= 1.4 * held, (peak, held)
+
+    @pytest.mark.parametrize("end", ["", "\n"])
+    def test_a_quoted_name_keeps_the_line_end_it_spans(self, end):
+        d = f.read_csv_text('dmu,in_a,out_b\n"U\nV",1,2\nW,3,"4"' + end)
+        assert d.names == ("U\nV", "W") and d.outputs == ((2.0,), (4.0,))
+
+    @pytest.mark.parametrize("end", ["", "\n"])
+    def test_an_open_quote_at_the_end_reads_up_to_the_field_limit(self, end):
+        # csv reads the last line as the text has it, with no line end added
+        cell = "2" * (100 - len(end)) + end
+        limit = csv.field_size_limit(100)
+        try:
+            d = f.read_csv_text('dmu,in_a,out_b\nU,1,"' + cell)
+        finally:
+            csv.field_size_limit(limit)
+        assert d.outputs == ((float(cell),),)
+
+    def test_a_bad_number_wins_over_a_later_csv_error(self, tmp_path, capsys):
+        # records are read as the rows are, so the row-2 defect is met first
+        wide = "1" * (csv.field_size_limit() + 1)
+        path = tmp_path / "two_defects.csv"
+        path.write_text(f'"dmu","in_a","out_b"\n"U","abc","2"\n"V","1","{wide}"\n')
+        assert io_cli.main(["ratios", "--input", str(path), "--dmu", "U"]) == 2
+        assert capsys.readouterr().err == (
+            "error [PARSE_ERROR]: row 2, column 'in_a': bad number 'abc'\n"
+        )
+
+    def test_a_quoted_float_csv_is_read_by_the_grid(self, monkeypatch):
+        lines = float_csv_lines(2 * io_cli._CHUNK + 1)
+        text = "".join(_quoted(line) + "\n" for line in lines)
+        taken, grid = [], io_cli._float_grid
+
+        def spy(*args):
+            taken.append(grid(*args))
+            return taken[-1]
+
+        monkeypatch.setattr(io_cli, "_float_grid", spy)
+        d = f.read_csv_text(text)
+        assert len(taken) == 3 and None not in taken
+        assert (d, repr(d)) == (plain := f.read_csv_text("\n".join(lines)), repr(plain))
+
+    def test_a_quoted_csv_is_read_in_pieces_too(self):
+        # its records are read _CHUNK at a time, as an unquoted file's are, so the
+        # traced peak is about the same
+        lines = float_csv_lines(20_000)
+        peaks = []
+        for text in ("\n".join(lines) + "\n", "".join(_quoted(x) + "\n" for x in lines)):
+            f.read_csv_text(text)  # anything built once per process is built here
+            gc.collect()
+            tracemalloc.start()
+            try:
+                f.read_csv_text(text)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0], peaks
+
+
+def _quoted(line: str) -> str:
+    return ",".join(f'"{cell}"' for cell in line.split(","))
 
 
 class TestWriteCsv:
