@@ -18,6 +18,7 @@ import json
 import math
 import re
 import sys
+from codecs import BOM_UTF8, utf_8_decode
 from collections.abc import Sequence
 from fractions import Fraction
 from itertools import chain, islice, repeat
@@ -36,7 +37,7 @@ from .errors import (
     ValueSpreadError,
 )
 from .model import Dataset, Delta, Numeric, Orientation, Tolerance, ratio_table
-from .model import validate_dataset
+from .model import _Rows, validate_dataset
 from .response import build_response
 from .rts import RtsReport, _classify, _pooled, _project, classified
 from .scale import UNBOUNDED, RatioValue, _efficient_ratios
@@ -57,28 +58,43 @@ def read_csv(source: str | PathLike, exact: bool = False) -> Dataset:
     With ``exact`` the entries stay rational; otherwise they are converted
     to doubles.
     """
-    # No name here holds the text, so read_csv_text can drop it once it is split.
-    return read_csv_text(_text_of(source), exact=exact)
+    # No name here holds the bytes, so _records can drop them once they are split.
+    return _read(_records(_bytes_of(source)), exact)
 
 
-def _text_of(source: str | PathLike) -> str:
+def _bytes_of(source: str | PathLike) -> bytes:
+    """The file's bytes, checked to be UTF-8 a slice at a time (so that its text is
+    never held whole), with universal newlines, as reading in text mode gives."""
     try:
         with open(source, "rb") as fh:
-            text = fh.read().decode("utf-8")
+            data = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {source}: {exc}") from exc
+    view, start = memoryview(data), 0
+    try:
+        while start < len(data):
+            end = start + _SLICE
+            start += utf_8_decode(view[start:end], None, end >= len(data))[1]
     except UnicodeDecodeError as exc:
         raise ParseError(
-            f"cannot decode {source}: invalid UTF-8 at byte {exc.start}"
+            f"cannot decode {source}: invalid UTF-8 at byte {start + exc.start}"
         ) from exc
-    # Universal newlines, as reading in text mode gives; read_csv_text drops
-    # the one byte-order mark that utf-8-sig would.
-    return text.replace("\r\n", "\n").replace("\r", "\n")
+    return data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+
+
+# Bytes checked at a time: a slice and its text stay small beside a large file.
+# A slice of 4 bytes or more, the longest UTF-8 character, holds a whole one.
+_SLICE = 1 << 16
 
 
 def read_csv_text(text: str, exact: bool = False) -> Dataset:
-    pieces = _records(text.removeprefix("\ufeff"))  # a byte-order mark is not part of 'dmu'
+    pieces = _records(text)
     del text  # the pieces hold what is read
+    return _read(pieces, exact)
+
+
+def _read(pieces, exact: bool) -> Dataset:
+    """The dataset of the records ``pieces`` (see ``_records``)."""
     long, head = next(pieces)
     if head is None:
         raise EmptyDatasetError("no header row")
@@ -101,48 +117,61 @@ def read_csv_text(text: str, exact: bool = False) -> Dataset:
     if max(in_cols) > min(out_cols):
         raise ParseError("in_ columns must precede out_ columns")
 
-    columns = [header[c] for c in in_cols + out_cols]
+    number_cols = in_cols + out_cols
+    columns = [header[c] for c in number_cols]
     names: list[str] = []
-    inputs: list[Sequence[Numeric]] = []
-    outputs: list[Sequence[Numeric]] = []
+    parts: list[list[Sequence[Numeric]]] = [[] for _ in columns]  # per column, per piece
     while body := next(pieces, None):  # no name keeps the last piece
-        taken = not exact and _float_grid(body, len(header), len(in_cols), long)
+        taken = not exact and _float_grid(body, len(header), long)
         if taken:  # the row loop would read the same doubles and raise nothing
             names += taken[0]
-            inputs += taken[1]
-            outputs += taken[2]
-            continue
-        for row in body:
-            rownum = len(names) + 2
-            cells = [cell.strip() for cell in row]
-            if len(cells) != len(header):
-                raise RaggedRowsError(
-                    f"row {rownum} has {len(cells)} cells, header has {len(header)}"
-                )
-            if not cells[0]:
-                raise ParseError(f"row {rownum}: empty unit name")
-            names.append(cells[0])
-            inputs.append([_cell(cells[c], exact, rownum, header[c]) for c in in_cols])
-            outputs.append([_cell(cells[c], exact, rownum, header[c]) for c in out_cols])
-    return validate_dataset(names, inputs, outputs, columns)
+            values = taken[1]
+        else:
+            rows = []
+            for row in body:
+                rownum = len(names) + 2
+                cells = [cell.strip() for cell in row]
+                if len(cells) != len(header):
+                    raise RaggedRowsError(
+                        f"row {rownum} has {len(cells)} cells, header has {len(header)}"
+                    )
+                if not cells[0]:
+                    raise ParseError(f"row {rownum}: empty unit name")
+                names.append(cells[0])
+                rows.append([_cell(cells[c], exact, rownum, header[c]) for c in number_cols])
+            values = zip(*rows)
+        for part, piece in zip(parts, values):
+            part.append(piece)
+    parts.reverse()  # each column's pieces are let go as its tuple is made
+    cols = tuple(tuple(chain.from_iterable(parts.pop())) for _ in columns)
+    m = len(in_cols)
+    return validate_dataset(names, _Rows(cols[:m]), _Rows(cols[m:]), columns)
 
 
 # Records read, and units hashed, at a time, whatever the row count.
-_CHUNK = 512
+_CHUNK = 128
 
 
-def _records(text: str):
+def _records(data: str | bytes):
     """Whether a cell may be longer than ``_SHORT_CELL`` and the first record, or
     ``None``, then the others ``_CHUNK`` at a time: the non-empty records of
-    ``text`` as ``csv.reader`` reads them, a ``csv.Error`` raised as a
-    ``ParseError`` once the records before it are read."""
-    lines = text.split("\n")
-    # A quoted cell may span lines, and so outgrow every line.
-    long = '"' in text or max(map(len, lines)) > _SHORT_CELL
-    tail = [lines.pop()]  # after the last line end, which csv reads without one
-    rest = iter([None, *reversed(lines)].pop, None)  # in order, each let go once read
-    del text, lines
-    reader = csv.reader(chain(map(str.__add__, rest, repeat("\n")), tail))
+    ``data``, text or UTF-8 bytes, as ``csv.reader`` reads them, a ``csv.Error``
+    raised as a ``ParseError`` once the records before it are read. A leading
+    byte-order mark is not part of 'dmu'."""
+    text = isinstance(data, str)
+    lines = data.split("\n" if text else b"\n")
+    # A quoted cell may span lines, and so outgrow every line; a line has no
+    # more characters than bytes.
+    long = ('"' if text else b'"') in data or max(map(len, lines)) > _SHORT_CELL
+    del data
+    lines[0] = lines[0].removeprefix("\ufeff" if text else BOM_UTF8)
+    decode = str if text else bytes.decode
+    tail = map(decode, [lines.pop()])  # after the last line end, which csv reads without one
+    lines.append(None)
+    lines.reverse()  # popped in order, each let go once read
+    rest = map(decode, iter(lines.pop, None))
+    feed = chain(map(str.__add__, rest, repeat("\n")), tail)
+    reader = csv.reader(feed)
     records = filter(None, reader)
     piece = []
     try:
@@ -160,8 +189,8 @@ def _records(text: str):
     raise error
 
 
-def _float_grid(body: list[list[str]], width: int, m: int, long: bool):
-    """Names, input rows and output rows of the records ``body``, from their columns;
+def _float_grid(body: list[list[str]], width: int, long: bool):
+    """Names and number columns of the records ``body``;
     ``None``, for the row loop to decide, if a record is not ``width`` wide, a name is
     empty, or a cell is off ``_cell``'s fast branch or long (if ``long`` allows it)."""
     names, *cells = zip(*body)
@@ -176,7 +205,7 @@ def _float_grid(body: list[list[str]], width: int, m: int, long: bool):
         return None
     if not all(0.0 not in v and math.isfinite(sum(v)) for v in values):
         return None
-    return names, zip(*values[:m]), zip(*values[m:])
+    return names, values
 
 
 # Python refuses int-string conversions beyond a digit limit that can be set

@@ -6,7 +6,8 @@ reference must be inflated before the row unit's inputs fit inside) and the
 worst output ratio ``beta[j]`` (how far every output of the reference can be
 inflated while staying below its outputs); the table names each row's unit.
 This module owns the dataset container, the scaling-regime and tolerance
-types, and the ratio table.
+types, and the ratio table. A dataset stores its columns only, since every
+ratio is of two entries of one column; its rows are read off them.
 
 Arithmetic is duck-typed. Datasets may hold floats (the default) or
 ``fractions.Fraction`` entries (exact mode); every operation in the
@@ -21,7 +22,6 @@ from collections import namedtuple
 from collections.abc import Sequence
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
 from itertools import repeat
 from operator import itemgetter, truediv
 
@@ -86,13 +86,69 @@ class Tolerance(namedtuple("Tolerance", "eps")):
         return cls(*fields)
 
 
+class _Rows(Sequence):
+    """Read-only row tuples read off a tuple of equal-length columns: row ``i`` is
+    every column's entry ``i``. They index, slice, iterate, compare, hash and
+    print as the tuple of those row tuples does, which is never built."""
+
+    __slots__ = ("columns",)
+
+    def __init__(self, columns: tuple[tuple[Numeric, ...], ...]) -> None:
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(self.columns[0]) if self.columns else 0
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(zip(*[col[i] for col in self.columns]))
+        return tuple([col[i] for col in self.columns])
+
+    def __iter__(self):
+        return zip(*self.columns)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is _Rows:
+            return self.columns == other.columns
+        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+    def __reduce__(self):  # pickles under every protocol, as a tuple does
+        return _Rows, (self.columns,)
+
+
+def _rows(rows: Sequence[Sequence[Numeric]]) -> _Rows:
+    """``rows`` read off their columns: transposed once unless they already are.
+    Every row must be as long as the first."""
+    if type(rows) is _Rows:
+        return rows
+    rows = tuple(rows)
+    width = len(rows[0]) if rows else 0
+    return _Rows(tuple(tuple(map(itemgetter(k), rows)) for k in range(width)))
+
+
 class Dataset(namedtuple("Dataset", "names inputs outputs")):
     """Immutable table of named units with positive inputs and outputs: a tuple of
-    names, one of input rows and one of output rows.
+    names, then the input rows and the output rows, each a sequence of row
+    tuples read off the dataset's columns (which is all it stores).
 
     Construct through :func:`validate_dataset`; the raw constructor performs
-    no checking. No ``__slots__``: ``columns`` is cached in the instance dict.
+    no checking. Rows given to it are turned into columns once.
     """
+
+    __slots__ = ()
+
+    def __new__(cls, names, inputs, outputs) -> Dataset:
+        return super().__new__(cls, names, _rows(inputs), _rows(outputs))
+
+    @classmethod
+    def _make(cls, fields) -> Dataset:  # so that _replace turns rows into columns too
+        return cls(*fields)
 
     @property
     def n(self) -> int:
@@ -100,22 +156,22 @@ class Dataset(namedtuple("Dataset", "names inputs outputs")):
 
     @property
     def m(self) -> int:
-        return len(self.inputs[0])
+        return len(self.inputs.columns)
 
     @property
     def s(self) -> int:
-        return len(self.outputs[0])
+        return len(self.outputs.columns)
 
-    @cached_property
+    @property
     def columns(self) -> tuple[tuple[Numeric, ...], ...]:
-        """The m input columns, then the s output columns, built once from the rows."""
-        rows = (self.inputs, self.outputs)  # a transpose by zip makes an iterator per row
-        return tuple(tuple(map(itemgetter(k), r)) for r in rows for k in range(len(r[0])))
+        """The m input columns, then the s output columns."""
+        return self.inputs.columns + self.outputs.columns
 
     def unit(self, o: int) -> tuple[tuple[Numeric, ...], tuple[Numeric, ...]]:
         """Input and output vectors of unit ``o``."""
         check_index(self, o)
-        return self.inputs[o], self.outputs[o]
+        x, y = self.inputs.columns, self.outputs.columns
+        return tuple([c[o] for c in x]), tuple([c[o] for c in y])
 
     def index_of(self, name: str) -> int:
         try:
@@ -125,12 +181,10 @@ class Dataset(namedtuple("Dataset", "names inputs outputs")):
 
     def as_exact(self) -> "Dataset":
         """Copy with every entry converted to a Fraction; exact data is shared."""
-        if all(type(v) is Fraction for row in self.inputs + self.outputs for v in row):
+        if all(type(v) is Fraction for col in self.columns for v in col):
             return self
         return Dataset(
-            self.names,
-            tuple(tuple(Fraction(v) for v in row) for row in self.inputs),
-            tuple(tuple(Fraction(v) for v in row) for row in self.outputs),
+            self.names, _converted(self.inputs, Fraction), _converted(self.outputs, Fraction)
         )
 
     def as_float(self) -> "Dataset":
@@ -140,10 +194,12 @@ class Dataset(namedtuple("Dataset", "names inputs outputs")):
             ValueSpreadError: a column's ratios leave the double range.
         """
         return validate_dataset(
-            self.names,
-            [[float(v) for v in row] for row in self.inputs],
-            [[float(v) for v in row] for row in self.outputs],
+            self.names, _converted(self.inputs, float), _converted(self.outputs, float)
         )
+
+
+def _converted(rows: _Rows, kind: type) -> _Rows:
+    return _Rows(tuple(tuple(map(kind, col)) for col in rows.columns))
 
 
 def check_index(d: Dataset, o: int) -> None:
@@ -186,8 +242,11 @@ def validate_dataset(
 ) -> Dataset:
     """Check and freeze a parsed table.
 
-    ``columns`` gives one name per input then output column, for error
-    messages (default ``in_1, ..., out_1, ...``).
+    ``inputs`` and ``outputs`` are plain rows, turned into columns once their
+    arity is checked, or rows already read off columns (a dataset's, or the
+    reader's), which are kept as they are. ``columns`` gives one name per
+    input then output column, for error messages (default ``in_1, ...,
+    out_1, ...``).
 
     Raises:
         EmptyDatasetError: no rows, or a unit with no inputs or no outputs.
@@ -198,8 +257,7 @@ def validate_dataset(
             entries more than 2**511 apart in ratio.
     """
     names = tuple(map(str, names))
-    rows_x = tuple(map(tuple, inputs))
-    rows_y = tuple(map(tuple, outputs))
+    rows_x, rows_y = (r if type(r) is _Rows else tuple(map(tuple, r)) for r in (inputs, outputs))
     if len(names) == 0:
         raise EmptyDatasetError("dataset has no units")
     if len(rows_x) != len(names) or len(rows_y) != len(names):
@@ -211,8 +269,11 @@ def validate_dataset(
         raise EmptyDatasetError("units must consume at least one input")
     if s == 0:
         raise EmptyDatasetError("units must produce at least one output")
-    d = Dataset(names, rows_x, rows_y)
-    even = set(map(len, rows_x)) == {m} and set(map(len, rows_y)) == {s}
+    even = all(
+        type(rows) is _Rows or set(map(len, rows)) == {k}
+        for rows, k in ((rows_x, m), (rows_y, s))
+    )
+    d = Dataset(names, rows_x, rows_y) if even else None  # uneven rows fail below
     if not (even and _valid_columns(d.columns)):
         for k, (rx, ry) in enumerate(zip(rows_x, rows_y)):
             if len(rx) != m or len(ry) != s:
@@ -258,7 +319,7 @@ class RatioTable(namedtuple("RatioTable", "reference units alpha beta")):
 
 def ratio_table(d: Dataset, o: int) -> RatioTable:
     """Ratio table of dataset ``d`` against reference unit ``o``, over every unit."""
-    return _table(o, range(d.n), d.columns[: d.m], d.columns[d.m :], *d.unit(o))
+    return _table(o, range(d.n), d.inputs.columns, d.outputs.columns, *d.unit(o))
 
 
 def _table(o: int, units: Sequence[int], in_cols, out_cols, xo, yo) -> RatioTable:

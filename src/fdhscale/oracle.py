@@ -130,9 +130,9 @@ def _unit_pairs(d: Dataset, o: int) -> _Pairs:
 def _dominator(d: Dataset, pairs: _Pairs, o: int) -> int | None:
     """The lowest j of ``o``'s pairs, in dataset order, with alpha_j <= 1 <= beta_j
     whose data differs from ``o``'s (``o`` itself and its copies do not), or None."""
-    row = d.inputs[o], d.outputs[o]
+    cols = d.columns
     for j, ((an, ad), (bn, bd)) in enumerate(pairs):
-        if an <= ad and bn >= bd and (d.inputs[j], d.outputs[j]) != row:
+        if an <= ad and bn >= bd and any(c[j] != c[o] for c in cols):
             return j
     return None
 

@@ -161,8 +161,9 @@ def _pooled(d: Dataset, tol: Tolerance) -> Iterator[tuple[RatioTable, int | None
     del dom  # the sets take n bits per unit; only the witnesses are needed now
     cols = [[col[j] for j in pool] for col in d.columns]  # the pool's columns
     ins, outs, floor = cols[: d.m], cols[d.m :], 1 + tol.eps
+    xs, ys = d.inputs.columns, d.outputs.columns
     for o, w in enumerate(lowest):
-        rt = _table(o, pool, ins, outs, *d.unit(o))
+        rt = _table(o, pool, ins, outs, [c[o] for c in xs], [c[o] for c in ys])
         if w is None:  # one comparison per float bound: an exact entry converts it
             above = [a for a in rt.alpha if a > 1]
             low = min(rt.alpha) < _LOW and min(map(max, rt.alpha, rt.beta)) < _LOW
@@ -184,17 +185,18 @@ def _project(d: Dataset, rt: RatioTable, grow: Numeric) -> tuple[RatioTable, int
     as one over every unit (docs/derivations.md, "Projection decided on the pool").
     """
     o = rt.reference
-    xo, yo = d.inputs[o], d.outputs[o]
+    ins, outs = d.inputs.columns, d.outputs.columns
     tied = compress(range(len(rt.beta)), map(eq, rt.beta, repeat(grow)))
     rows = [rt.units[j] for j in tied if rt.alpha[j] <= 1]
-    low = [min(map(_quotient, d.outputs[u], yo)) for u in rows]  # each row's exact beta
+    ratios = [[_quotient(c[u], c[o]) for c in outs] for u in rows]  # each row's, exactly
+    low = list(map(min, ratios))  # each row's exact beta
     top = max(low)  # phi*
-    for u, b in zip(rows, low):
-        if b == top and (d.inputs[u] != xo or max(map(_quotient, d.outputs[u], yo)) != top):
+    for u, b, r in zip(rows, low, ratios):
+        if b == top and (any(c[u] != c[o] for c in ins) or max(r) != top):
             return rt, u
-    grown = d.outputs[rows[low.index(top)]]
-    outs = [col[:o] + (v,) + col[o + 1 :] for col, v in zip(d.columns[d.m :], grown)]
-    return _table(o, range(d.n), d.columns[: d.m], outs, xo, grown), None
+    u = rows[low.index(top)]
+    grown = [col[:o] + (col[u],) + col[o + 1 :] for col in outs]
+    return _table(o, range(d.n), ins, grown, [c[o] for c in ins], [c[u] for c in outs]), None
 
 
 # An exact quotient as an int pair (numerator, denominator), compared by cross-multiplying
@@ -224,9 +226,9 @@ def _pool(d: Dataset, dom: list[int]) -> list[int]:
 
 
 def _near(d: Dataset, e: int, k: int) -> bool:
-    xe, ye, xk, yk = d.inputs[e], d.outputs[e], d.inputs[k], d.outputs[k]
-    return any(b - a <= a / _TIE_SLACK for a, b in zip(xe, xk)) or any(
-        a - b <= b / _TIE_SLACK for a, b in zip(ye, yk)
+    ins, outs = d.inputs.columns, d.outputs.columns
+    return any(c[k] - c[e] <= c[e] / _TIE_SLACK for c in ins) or any(
+        c[e] - c[k] <= c[k] / _TIE_SLACK for c in outs
     )
 
 

@@ -98,10 +98,9 @@ def dominating_peer(d: Dataset, rt: RatioTable) -> int | None:
     coincides with the reference's is no witness; on a table over every
     unit the two agree on every dataset.
     """
-    o = rt.reference
-    xo, yo = d.inputs[o], d.outputs[o]
+    o, cols = rt.reference, d.columns
     for u, a, b in zip(rt.units, rt.alpha, rt.beta):
-        if a <= 1 <= b and u != o and (d.inputs[u] != xo or d.outputs[u] != yo):
+        if a <= 1 <= b and u != o and any(c[u] != c[o] for c in cols):
             return u
     return None
 

@@ -102,7 +102,7 @@ class TestPublicNames:
 
 
 def test_the_hashlib_fallback_gives_the_same_digests(tmp_path):
-    # 600 rows: the digest hashes 512 lines at a time, so two updates
+    # 600 rows: the digest hashes 128 lines at a time, so several updates
     path = tmp_path / "floats.csv"
     path.write_text("\n".join(float_csv_lines(600)) + "\n", encoding="utf-8")
     script = (

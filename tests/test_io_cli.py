@@ -148,6 +148,38 @@ class TestReadCsv:
             tracemalloc.stop()
         assert peak <= 1.4 * held, (peak, held)
 
+    def test_a_read_dataset_holds_its_columns_and_no_row_tuples(self):
+        # per row: five doubles of 24 bytes and their column slots, and a name
+        # of about 54 bytes with its slot, 37 bytes a cell on CPython 3.11; a
+        # tuple per row of inputs and of outputs would add about 23 more
+        text = "\n".join(float_csv_lines(4000)) + "\n"
+        f.read_csv_text(text)  # anything built once per process is built here
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            d = f.read_csv_text(text)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        cells = d.n * (1 + d.m + d.s)
+        assert held <= 45 * cells, held / cells
+
+    def test_a_file_is_never_decoded_whole(self, tmp_path):
+        # its bytes are checked a slice at a time, so the traced peak stays
+        # within a few slices of the bytes, not twice them as with a decoded copy
+        path = tmp_path / "large.csv"
+        path.write_text("\n".join(float_csv_lines(4000)) + "\n", encoding="utf-8")
+        io_cli._bytes_of(path)
+        tracemalloc.start()
+        try:
+            data = io_cli._bytes_of(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(data) > 4 * io_cli._SLICE
+        assert peak <= len(data) + 3 * io_cli._SLICE, (peak, len(data))
+
     @pytest.mark.parametrize("end", ["", "\n"])
     def test_a_quoted_name_keeps_the_line_end_it_spans(self, end):
         d = f.read_csv_text('dmu,in_a,out_b\n"U\nV",1,2\nW,3,"4"' + end)

@@ -11,11 +11,13 @@ that floats tend to get wrong, in exact arithmetic.
 """
 
 import contextlib
+import copy
 import csv
 import functools
 import hashlib
 import io
 import math
+import pickle
 import random
 from fractions import _RATIONAL_FORMAT, Fraction as F
 from unittest import mock
@@ -1072,6 +1074,9 @@ ODD_CELLS = st.one_of(
 ODD_NAMES = st.sampled_from(["U0", "", " ", "\x1f"])
 BLANK_LINES = st.sampled_from(["", " ", "\t", ",", "\r", "\x00", "U9,\x00,1"])
 LINE_ENDS = st.sampled_from(["\r", "\x00", ' "', "\r\r"])
+# A line whose last field, an unclosed quote or a plain cell, gets more
+# characters than csv.field_size_limit() allows once the limit's worth is added.
+PAST_THE_FIELD_LIMIT = st.sampled_from(['U9,"', "U9,1", 'U9,1,"2'])
 
 
 @st.composite
@@ -1108,6 +1113,8 @@ def float_csv_texts(draw):
     if draw(one_in(6)):
         k = draw(st.integers(0, len(lines) - 1))
         lines[k] += draw(LINE_ENDS)
+    if messy and draw(one_in(3)):  # a csv.Error after the rows, odd cells and all
+        lines.append(draw(PAST_THE_FIELD_LIMIT) + "1" * csv.field_size_limit())
     return "\n".join(lines) + "\n"
 
 
@@ -1155,6 +1162,49 @@ def test_column_read_equals_row_loop(text):
         assert reference[0] is ParseError and reference[1].startswith("line ")
         assert by_columns == _csv_module_outcome(text, streamed=True)
         assert by_columns[1] != reference[1]
+
+
+# Bytes that are not UTF-8, alone or as the start of a cut multi-byte character.
+NOT_UTF8 = st.sampled_from([b"\xff", b"\xe2\x82", b"\xc3", b"\xed\xa0\x80"])
+
+
+@st.composite
+def csv_file_bytes(draw):
+    """A float CSV text as a file's bytes: some with a byte-order mark, some
+    line ends made CR LF or CR, some with multi-byte names or bytes that are
+    not UTF-8."""
+    text = draw(float_csv_texts()).replace("U1", draw(st.sampled_from(["U1", "Ü1", "U€1"])))
+    ends = [draw(st.sampled_from(["\n", "\n", "\r\n", "\r"])) for _ in text.split("\n")]
+    text = "".join(line + end for line, end in zip(text.split("\n"), ends))[: -len(ends[-1])]
+    data = draw(BOMS) + text.encode("utf-8")
+    for _ in range(draw(st.integers(0, 2)) if draw(one_in(4)) else 0):
+        k = draw(st.integers(0, len(data)))
+        data = data[:k] + draw(NOT_UTF8) + data[k:]
+    return data
+
+
+@given(csv_file_bytes(), st.sampled_from([4, 5, 6, 7, 64, io_cli._SLICE]))
+@settings(max_examples=300, deadline=None)
+def test_file_read_equals_reading_its_decoded_text(tmp_path_factory, data, size):
+    # the file is checked a slice at a time and decoded a line at a time, as
+    # if its whole text were decoded, given universal newlines and read
+    path = tmp_path_factory.mktemp("bytes") / "data.csv"
+    path.write_bytes(data)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        reference = ParseError, f"cannot decode {path}: invalid UTF-8 at byte {exc.start}"
+    else:
+        reference = _read_outcome(text.replace("\r\n", "\n").replace("\r", "\n"))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(io_cli, "_SLICE", size)
+        try:
+            d = f.read_csv(path)
+        except Exception as exc:
+            by_file = type(exc), str(exc)
+        else:
+            by_file = d, repr(d)
+    assert by_file == reference
 
 
 def test_line_beyond_the_field_size_limit_is_the_csv_error():
@@ -1301,6 +1351,28 @@ def test_columns_are_the_rows_transposed(raw, d):
             copies.append(projected_copy(d, item.reference))
     for c in copies:
         assert c.columns == _rows_transposed(c)
+        for view, cols in ((c.inputs, c.columns[: c.m]), (c.outputs, c.columns[c.m :])):
+            _check_rows_view(view, tuple(zip(*cols)))
+        copies_back = [pickle.loads(pickle.dumps(c, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for back in (*copies_back, copy.deepcopy(c)):
+            assert (back, repr(back), back.columns) == (c, repr(c), c.columns)
+            assert type(back.inputs) is type(c.inputs)
+
+
+def _check_rows_view(view, rows):
+    """``view`` behaves as the tuple of row tuples ``rows``."""
+    n = len(rows)
+    assert len(view) == n and tuple(view) == rows and list(iter(view)) == list(rows)
+    assert [view[i] for i in range(-n, n)] == [rows[i] for i in range(-n, n)]
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            view[i]
+    for cut in (slice(None), slice(1, None), slice(None, -1), slice(None, None, -2),
+                slice(n, 0), slice(-2, None, 1)):
+        assert view[cut] == rows[cut] and type(view[cut]) is tuple
+    assert view == rows and rows == view and not view != rows and not rows != view
+    assert view != rows[:-1] and rows[:-1] != view and view != list(rows)
+    assert hash(view) == hash(rows) and repr(view) == repr(rows)
 
 
 # Sizes about the reader's and the digest's pieces of lines.
